@@ -1,12 +1,11 @@
 // Sim-core microbenchmark: how fast the discrete-event scheduler itself
 // runs, independent of any protocol model. Three seeded phases:
 //
-//   timers   a storm of sleeping tasks whose durations span every wheel
-//            level plus the far-future overflow heap  -> events/sec
-//   shallow  a handful of sleepers firing many short timers, staying under
-//            the scheduler's small-queue capacity — the sparse-storm shape
-//            the wheel rebuild regressed, now served by the sorted-vector
-//            fast path                                 -> events/sec
+//   timers   a storm of sleeping tasks whose durations span nanoseconds to
+//            several simulated days, ~64 timers pending -> events/sec
+//   shallow  a handful of sleepers firing many short timers, at most a few
+//            pending at once: the sparse-storm shape that dominates the
+//            protocol benches                          -> events/sec
 //   cancels  timed waiters that are always notified before their deadline,
 //            so every wait cancels its timer           -> cancels/sec
 //   rpc      a small Eager-SendRecv echo workload, the end-to-end shape the
@@ -43,7 +42,7 @@ struct Options {
   uint64_t seed = 1;
   uint32_t timer_tasks = 64;
   uint32_t timers_per_task = 4000;
-  uint32_t shallow_tasks = 8;  // stays well under Simulator::kSmallCap
+  uint32_t shallow_tasks = 8;  // at most 8 timers pending
   uint32_t shallow_timers_per_task = 50000;
   uint32_t cancel_waiters = 2000;
   uint32_t cancel_rounds = 10;
@@ -87,17 +86,16 @@ Task<void> ticker(sim::Simulator& sim, uint64_t seed, uint32_t sleeps) {
     sim::Duration d;
     switch (r % 16) {
       case 0:
-        // Beyond the wheel's 2^48 ns span: lands in the overflow heap and
-        // is migrated back into the wheel as the cursor catches up.
+        // Far future: 4 to 5 simulated days ahead.
         d = std::chrono::nanoseconds((r % 86'400'000'000'000ull) +
                                      4 * 86'400'000'000'000ull);
         break;
       case 1:
       case 2:
-        d = std::chrono::nanoseconds(r % 10'000'000);  // mid-level slots
+        d = std::chrono::nanoseconds(r % 10'000'000);  // up to 10 ms
         break;
       default:
-        d = std::chrono::nanoseconds(r % 4096);  // bottom wheel levels
+        d = std::chrono::nanoseconds(r % 4096);  // a few microseconds
     }
     co_await sim.sleep(d);
   }

@@ -42,6 +42,7 @@ class Generator {
     w_.line("// " + opts_.guard_comment);
     w_.line("#pragma once");
     w_.line();
+    w_.line("#include <algorithm>");
     w_.line("#include <map>");
     w_.line("#include <set>");
     w_.line("#include <string>");
@@ -200,7 +201,13 @@ class Generator {
         std::string h = fresh("_lh"), i = fresh("_i"), v = fresh("_v");
         w_.line("auto " + h + " = _p.readListBegin();");
         w_.line(expr + ".clear();");
-        w_.line(expr + ".reserve(" + h + ".size);");
+        // A hostile size must not reserve more elements than the bytes left
+        // could encode: at least 1 byte each (a Compact varint), 8 for a
+        // double in every protocol.
+        std::string room = "_p.buffer().readable()";
+        if (t.args[0].kind == K::kDouble) room += " / 8";
+        w_.line(expr + ".reserve(std::min<size_t>(" + h + ".size, " + room +
+                "));");
         w_.open("for (uint32_t " + i + " = 0; " + i + " < " + h + ".size; ++" +
                 i + ") {");
         w_.line(cpp_type(t.args[0]) + " " + v + "{};");

@@ -16,258 +16,55 @@ void Simulator::spawn(Task<void> t) {
   run_root(this, std::move(t));
 }
 
-// Shallow schedules take the small-queue fast path; crossing kSmallCap
-// migrates every resident into the wheel/heap in one sweep and stays in
-// wheel mode until the wheel fully drains (see find_next_batch).
 void Simulator::insert(uint32_t idx) {
-  if (small_mode_) {
-    if (small_.size() < kSmallCap) {
-      small_insert(idx);
-      return;
-    }
-    small_mode_ = false;
-    std::vector<uint32_t> spill;
-    spill.swap(small_);
-    for (uint32_t i : spill) wheel_or_heap_insert(i);
-  }
-  wheel_or_heap_insert(idx);
+  nodes_[idx].state = TimerNode::kPending;
+  heap_.push_back(idx);
+  sift_up(heap_.size() - 1, idx);
 }
 
-// Binary-search insert keeping small_ sorted by (time, seq) — dispatch
-// order is identical to what the wheel would produce.
-void Simulator::small_insert(uint32_t idx) {
-  TimerNode& n = nodes_[idx];
-  n.state = TimerNode::kSmallQ;
-  auto before = [this](uint32_t a, uint32_t b) {
-    const TimerNode& x = nodes_[a];
-    const TimerNode& y = nodes_[b];
-    return x.t != y.t ? x.t < y.t : x.seq < y.seq;
-  };
-  small_.insert(std::upper_bound(small_.begin(), small_.end(), idx, before),
-                idx);
+// Moves `idx` from hole `i` toward the root until its parent orders first.
+void Simulator::sift_up(size_t i, uint32_t idx) {
+  while (i > 0) {
+    size_t parent = (i - 1) / 4;
+    if (!before(idx, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, idx);
 }
 
-// Places a node by its timestamp: in-window times go to the wheel, times
-// beyond the window — or behind the cursor after a run_until() left the
-// cursor ahead of now — go to the overflow heap. The window is the
-// 64^8-aligned block containing the cursor, NOT [cursor, cursor + span):
-// wheel_link derives (level, slot) from tt XOR cursor, so a timestamp just
-// past the block boundary would XOR to a level >= kLevels even though its
-// distance is small. `(tt ^ cursor) < kSpan` is exactly "same block".
-void Simulator::wheel_or_heap_insert(uint32_t idx) {
-  TimerNode& n = nodes_[idx];
-  uint64_t tt = static_cast<uint64_t>(n.t.count());
-  if (tt >= wheel_cursor_ && (tt ^ wheel_cursor_) < kSpan) {
-    wheel_link(idx);
-  } else {
-    n.state = TimerNode::kOverflow;
-    overflow_.push(HeapEntry{n.t, n.seq, idx});
+// Fills hole `i` with the last leaf. The hole first walks down to a leaf
+// along the smallest children, then the leaf sifts up from there: a leaf
+// usually belongs near the bottom, so this takes fewer comparisons than a
+// top-down sift, and the sift-up also carries a leaf that orders before
+// the hole's parent above `i`.
+void Simulator::heap_remove(size_t i) {
+  uint32_t last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (i == n) return;
+  for (size_t child = 4 * i + 1; child < n; child = 4 * i + 1) {
+    size_t best = child;
+    for (size_t c = child + 1; c < std::min(child + 4, n); ++c)
+      if (before(heap_[c], heap_[best])) best = c;
+    place(i, heap_[best]);
+    i = best;
   }
+  sift_up(i, last);
 }
 
-// Appends the node to the slot selected by the highest digit (base 64)
-// in which its timestamp differs from the wheel cursor. Nodes at level 0
-// share the cursor's 64 ns window, so one level-0 slot holds exactly one
-// timestamp.
-void Simulator::wheel_link(uint32_t idx) {
-  TimerNode& n = nodes_[idx];
-  uint64_t tt = static_cast<uint64_t>(n.t.count());
-  uint64_t x = tt ^ wheel_cursor_;
-  unsigned level =
-      x ? (63u - static_cast<unsigned>(std::countl_zero(x))) / kLevelBits : 0u;
-  unsigned slot = static_cast<unsigned>(tt >> (kLevelBits * level)) & kSlotMask;
-  n.level = static_cast<uint8_t>(level);
-  n.slot = static_cast<uint8_t>(slot);
-  n.state = TimerNode::kPending;
-  unsigned si = level * kSlots + slot;
-  n.prev = slot_tail_[si];
-  n.next = kNil;
-  if (slot_tail_[si] != kNil) {
-    nodes_[slot_tail_[si]].next = idx;
-  } else {
-    slot_head_[si] = idx;
-  }
-  slot_tail_[si] = idx;
-  occupancy_[level] |= uint64_t(1) << slot;
-  ++wheel_count_;
-}
-
-void Simulator::wheel_unlink(uint32_t idx) {
-  TimerNode& n = nodes_[idx];
-  unsigned si = unsigned(n.level) * kSlots + n.slot;
-  if (n.prev != kNil) {
-    nodes_[n.prev].next = n.next;
-  } else {
-    slot_head_[si] = n.next;
-  }
-  if (n.next != kNil) {
-    nodes_[n.next].prev = n.prev;
-  } else {
-    slot_tail_[si] = n.prev;
-  }
-  if (slot_head_[si] == kNil) occupancy_[n.level] &= ~(uint64_t(1) << n.slot);
-  n.prev = n.next = kNil;
-  --wheel_count_;
-}
-
-// Redistributes one higher-level slot after the cursor advanced to its
-// base: every node relands at a strictly lower level (its top differing
-// digit against the new cursor is below `level` by construction).
-void Simulator::cascade(unsigned level, unsigned slot) {
-  unsigned si = level * kSlots + slot;
-  uint32_t idx = slot_head_[si];
-  slot_head_[si] = kNil;
-  slot_tail_[si] = kNil;
-  occupancy_[level] &= ~(uint64_t(1) << slot);
-  while (idx != kNil) {
-    uint32_t next = nodes_[idx].next;
-    nodes_[idx].prev = nodes_[idx].next = kNil;
-    --wheel_count_;
-    wheel_link(idx);
-    idx = next;
-  }
-}
-
-// Pulls every node out of a level-0 slot (they all share one timestamp)
-// and sorts by sequence number: a cascade may have appended an older node
-// after a directly-inserted newer one, and dispatch order must stay FIFO.
-void Simulator::collect_slot_batch(unsigned slot) {
-  uint32_t idx = slot_head_[slot];  // level 0: slot index == array index
-  slot_head_[slot] = kNil;
-  slot_tail_[slot] = kNil;
-  occupancy_[0] &= ~(uint64_t(1) << slot);
-  while (idx != kNil) {
-    TimerNode& n = nodes_[idx];
-    uint32_t next = n.next;
-    n.prev = n.next = kNil;
-    n.state = TimerNode::kBatched;
-    --wheel_count_;
-    batch_.push_back(idx);
-    idx = next;
-  }
-  batch_time_ = nodes_[batch_.front()].t;
-  // Direct inserts arrive in seq order already; only a cascade can append
-  // an older node behind a newer one, so the common case skips the sort.
-  auto by_seq = [this](uint32_t a, uint32_t b) {
-    return nodes_[a].seq < nodes_[b].seq;
-  };
-  if (batch_.size() > 1 && !std::is_sorted(batch_.begin(), batch_.end(), by_seq))
-    std::sort(batch_.begin(), batch_.end(), by_seq);
-}
-
-// Pops every heap entry sharing the top timestamp. The heap yields equal
-// timestamps in sequence order already, so no sort is needed.
-void Simulator::collect_heap_batch() {
-  batch_time_ = overflow_.top().t;
-  while (!overflow_.empty() && overflow_.top().t == batch_time_) {
-    uint32_t idx = overflow_.top().node;
-    overflow_.pop();
-    TimerNode& n = nodes_[idx];
-    if (n.state == TimerNode::kDead) {
-      free_node(idx);
-      continue;
-    }
-    n.state = TimerNode::kBatched;
-    batch_.push_back(idx);
-  }
-}
-
+// Pops every node sharing the earliest timestamp; (t, seq) keying yields
+// them in FIFO order.
 bool Simulator::find_next_batch() {
-  if (small_mode_) {
-    // The whole schedule lives in small_, already in dispatch order: the
-    // batch is the front run of equal timestamps.
-    if (small_.empty()) return false;
-    batch_time_ = nodes_[small_.front()].t;
-    size_t run = 1;
-    while (run < small_.size() && nodes_[small_[run]].t == batch_time_) ++run;
-    for (size_t i = 0; i < run; ++i) {
-      nodes_[small_[i]].state = TimerNode::kBatched;
-      batch_.push_back(small_[i]);
-    }
-    small_.erase(small_.begin(), small_.begin() + run);
-    return true;
-  }
-  for (;;) {
-    // Reap lazily-cancelled heap entries and migrate entries that now fall
-    // inside the wheel window (the cursor may have advanced since they were
-    // pushed, or they may have been scheduled beyond the span).
-    while (!overflow_.empty()) {
-      const HeapEntry& e = overflow_.top();
-      uint32_t idx = e.node;
-      if (nodes_[idx].state == TimerNode::kDead) {
-        overflow_.pop();
-        free_node(idx);
-        continue;
-      }
-      uint64_t tt = static_cast<uint64_t>(e.t.count());
-      if (tt >= wheel_cursor_ && (tt ^ wheel_cursor_) < kSpan) {
-        overflow_.pop();
-        wheel_link(idx);
-        continue;
-      }
-      break;
-    }
-
-    if (wheel_count_ == 0) {
-      if (overflow_.empty()) {
-        small_mode_ = true;  // fully drained: hand back to the fast path
-        return false;
-      }
-      uint64_t tt = static_cast<uint64_t>(overflow_.top().t.count());
-      if (tt > wheel_cursor_) {
-        // Everything pending is far-future: re-window the wheel around it
-        // and let the migration loop pull it in.
-        wheel_cursor_ = tt;
-        continue;
-      }
-      // Behind-cursor backlog with an empty wheel.
-      collect_heap_batch();
-      if (batch_.empty()) continue;
-      return true;
-    }
-
-    // A heap entry behind the cursor beats every wheel node (all of which
-    // are at or ahead of the cursor).
-    if (!overflow_.empty() &&
-        static_cast<uint64_t>(overflow_.top().t.count()) < wheel_cursor_) {
-      collect_heap_batch();
-      if (batch_.empty()) continue;
-      return true;
-    }
-
-    // Scan level 0 from the cursor's slot. Occupied slots are never behind
-    // the cursor: the cursor only advances onto a slot when dispatching it
-    // in full, and inserts behind the cursor go to the heap.
-    unsigned s0 = static_cast<unsigned>(wheel_cursor_ & kSlotMask);
-    uint64_t m0 = occupancy_[0] & (~uint64_t(0) << s0);
-    if (m0) {
-      unsigned s = static_cast<unsigned>(std::countr_zero(m0));
-      wheel_cursor_ = (wheel_cursor_ & ~kSlotMask) | s;
-      collect_slot_batch(s);
-      return true;
-    }
-
-    // Level 0 is empty: advance to the nearest occupied higher-level slot,
-    // cascade it down, and rescan. Occupied higher-level slots are always
-    // strictly ahead of the cursor's digit at that level.
-    bool cascaded = false;
-    for (unsigned level = 1; level < kLevels; ++level) {
-      unsigned cl = static_cast<unsigned>(
-          (wheel_cursor_ >> (kLevelBits * level)) & kSlotMask);
-      uint64_t m = occupancy_[level] & (~uint64_t(0) << cl);
-      if (!m) continue;
-      unsigned s = static_cast<unsigned>(std::countr_zero(m));
-      unsigned shift = kLevelBits * level;
-      uint64_t base =
-          (wheel_cursor_ >> (shift + kLevelBits)) << (shift + kLevelBits);
-      wheel_cursor_ = base | (uint64_t(s) << shift);
-      cascade(level, s);
-      cascaded = true;
-      break;
-    }
-    assert(cascaded && "wheel_count_ > 0 but no occupied slot found");
-    (void)cascaded;
-  }
+  if (heap_.empty()) return false;
+  batch_time_ = nodes_[heap_.front()].t;
+  do {
+    uint32_t idx = heap_.front();
+    nodes_[idx].state = TimerNode::kBatched;
+    batch_.push_back(idx);
+    heap_remove(0);
+  } while (!heap_.empty() && nodes_[heap_.front()].t == batch_time_);
+  return true;
 }
 
 bool Simulator::cancel_impl(uint32_t idx, uint64_t gen) {
@@ -275,15 +72,10 @@ bool Simulator::cancel_impl(uint32_t idx, uint64_t gen) {
   if (n.gen != gen) return false;  // already fired, cancelled, or recycled
   switch (n.state) {
     case TimerNode::kPending:
-      wheel_unlink(idx);
+      heap_remove(n.pos);
       free_node(idx);
       break;
-    case TimerNode::kSmallQ:
-      small_.erase(std::find(small_.begin(), small_.end(), idx));
-      free_node(idx);
-      break;
-    case TimerNode::kOverflow:  // the heap entry is reaped lazily at pop
-    case TimerNode::kBatched:   // the dispatch loop reaps it
+    case TimerNode::kBatched:  // the dispatch loop reaps it
       n.state = TimerNode::kDead;
       ++n.gen;
       break;

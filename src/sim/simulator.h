@@ -1,34 +1,18 @@
-// Discrete-event simulator: a virtual clock plus a hierarchical timing
-// wheel of coroutine resumptions. Single-threaded and fully deterministic —
-// events at equal times run in FIFO schedule order, exactly as the old
-// priority-queue scheduler ordered them by (time, sequence).
+// Discrete-event simulator: a virtual clock plus an indexed min-heap of
+// coroutine resumptions. Single-threaded and fully deterministic — events
+// at equal times run in FIFO schedule order, i.e. ordered by (time, seq).
 //
 // Scheduler layout (see DESIGN.md §12):
-//   * 8 wheel levels x 64 slots; a level-L slot is 64^L ns wide, so the
-//     wheel spans 64^8 ns (~3.2 simulated days) ahead of its cursor.
-//     Insert/cancel are O(1); finding the next occupied slot is a handful
-//     of bitmap scans (one uint64_t occupancy word per level).
-//   * Timers beyond the wheel span — and timers landing behind the wheel
-//     cursor after a run_until() stopped mid-window — go to one overflow
-//     binary heap that competes with the wheel for the next dispatch batch.
-//   * All timers sharing a timestamp dispatch as one batch, sorted by
-//     sequence number. Level-0 slots are one nanosecond wide, so a slot
-//     holds exactly one timestamp and the sort restores FIFO order even
-//     when a cascade from a higher level appended nodes out of order.
+//   * One 4-ary min-heap of TimerNode ids keyed on (time, seq). Each node
+//     records its heap position, so cancel() removes it eagerly in
+//     O(log n) and the heap never holds a dead timer.
+//   * All timers sharing a timestamp dispatch as one batch. The heap pops
+//     them in sequence order, so the batch needs no sort.
 //   * TimerNodes live in one never-shrinking vector with an index freelist;
 //     a generation counter per node lets a stale TimerHandle fail safely.
-//   * Shallow schedules (<= kSmallCap pending timers) bypass the wheel
-//     entirely: a plain vector kept sorted by (time, seq) serves insert,
-//     cancel and batch collection. Sparse timer storms used to pay wheel
-//     cascades and bitmap scans per event; binary-search insert into a
-//     <= 64-entry vector is cheaper until the depth crosses the threshold,
-//     at which point everything migrates into the wheel/heap in one sweep.
-//     The wheel mode hands back to the small queue only when it fully
-//     drains, so deep workloads never flap between modes.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
@@ -36,7 +20,6 @@
 #include <exception>
 #include <memory>
 #include <ostream>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,8 +91,6 @@ class Simulator {
   };
 
   Simulator() {
-    std::fill_n(slot_head_, kLevels * kSlots, kNil);
-    std::fill_n(slot_tail_, kLevels * kSlots, kNil);
     rc_owner_ = std::make_unique<RaceCheck>(*this);  // sets rc_ per RACECHECK
     if (const char* s = std::getenv("RACECHECK_TIEBREAK"))
       set_tiebreak_seed(std::strtoull(s, nullptr, 10));
@@ -269,14 +250,6 @@ class Simulator {
   friend class TimerHandle;
   friend class RaceCheck;
 
-  // --- timing wheel geometry -------------------------------------------
-  static constexpr unsigned kLevelBits = 6;             // 64 slots per level
-  static constexpr unsigned kSlots = 1u << kLevelBits;  // 64
-  static constexpr unsigned kLevels = 8;
-  static constexpr uint64_t kSlotMask = kSlots - 1;
-  static constexpr uint64_t kSpan = uint64_t(1)
-                                    << (kLevelBits * kLevels);  // 2^48 ns
-
   static constexpr uint32_t kNil = 0xffffffffu;
 
   struct TimerNode {
@@ -284,29 +257,16 @@ class Simulator {
     uint64_t seq = 0;
     uint64_t gen = 0;  // bumped whenever the node leaves the schedule
     std::coroutine_handle<> h{};
-    uint32_t prev = kNil;  // intrusive slot list (wheel residents only)
-    uint32_t next = kNil;  // doubles as the freelist link
+    uint32_t pos = 0;      // index in heap_, valid while state == kPending
+    uint32_t next = kNil;  // freelist link
     uint32_t rc_clock = RaceCheck::kNoClock;  // scheduler's VC snapshot
-    uint8_t level = 0;     // wheel position, valid while state == kPending
-    uint8_t slot = 0;
     enum State : uint8_t {
       kFree,
-      kPending,   // linked in a wheel slot
-      kOverflow,  // owned by the overflow heap
-      kBatched,   // collected into the current dispatch batch
-      kDead,      // cancelled while heap-owned or batched; reaped lazily
-      kSmallQ,    // resident in the shallow-depth sorted queue
+      kPending,  // resident in heap_
+      kBatched,  // collected into the current dispatch batch
+      kDead,     // cancelled while batched; reaped by the dispatch loop
     };
     State state = kFree;
-  };
-
-  struct HeapEntry {
-    Time t;
-    uint64_t seq;
-    uint32_t node;
-    bool operator>(const HeapEntry& o) const {
-      return t != o.t ? t > o.t : seq > o.seq;
-    }
   };
 
   struct Detached {
@@ -341,7 +301,6 @@ class Simulator {
     ++n.gen;  // invalidate any outstanding TimerHandle
     n.h = {};
     n.state = TimerNode::kFree;
-    n.prev = kNil;
     n.next = free_nodes_;
     if (n.rc_clock != RaceCheck::kNoClock) {
       rc_owner_->drop(n.rc_clock);
@@ -350,16 +309,20 @@ class Simulator {
     free_nodes_ = idx;
   }
 
-  // --- wheel operations (definitions in simulator.cc) -------------------
+  // --- heap operations (definitions in simulator.cc) --------------------
+  bool before(uint32_t a, uint32_t b) const {
+    const TimerNode& x = nodes_[a];
+    const TimerNode& y = nodes_[b];
+    return x.t != y.t ? x.t < y.t : x.seq < y.seq;
+  }
+  void place(size_t i, uint32_t idx) {
+    heap_[i] = idx;
+    nodes_[idx].pos = static_cast<uint32_t>(i);
+  }
   void insert(uint32_t idx);
-  void wheel_or_heap_insert(uint32_t idx);
-  void small_insert(uint32_t idx);
-  void wheel_link(uint32_t idx);
-  void wheel_unlink(uint32_t idx);
-  void cascade(unsigned level, unsigned slot);
+  void heap_remove(size_t i);
+  void sift_up(size_t i, uint32_t idx);
   bool find_next_batch();  // fills batch_/batch_time_; false when drained
-  void collect_slot_batch(unsigned slot);
-  void collect_heap_batch();
   void drain(bool bounded, Time deadline);
   bool cancel_impl(uint32_t idx, uint64_t gen);
   RunResult make_result() const {
@@ -370,23 +333,7 @@ class Simulator {
   std::vector<TimerNode> nodes_;
   uint32_t free_nodes_ = kNil;
 
-  // Intrusive FIFO list per slot, indexed level * kSlots + slot.
-  uint32_t slot_head_[kLevels * kSlots];
-  uint32_t slot_tail_[kLevels * kSlots];
-  uint64_t occupancy_[kLevels] = {};  // bit s set <=> slot s non-empty
-  uint64_t wheel_cursor_ = 0;         // ns; monotone, never decreases
-  size_t wheel_count_ = 0;
-
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      overflow_;
-
-  // Shallow-depth fast path: while small_mode_ holds, every pending timer
-  // lives in this vector, sorted by (t, seq). Crossing kSmallCap migrates
-  // everything into the wheel/heap; the wheel hands back only on full drain.
-  std::vector<uint32_t> small_;
-  bool small_mode_ = true;
-  static constexpr size_t kSmallCap = 64;
-
+  std::vector<uint32_t> heap_;   // 4-ary min-heap of node ids by (t, seq)
   std::vector<uint32_t> batch_;  // node ids dispatching at batch_time_
   Time batch_time_{0};
 

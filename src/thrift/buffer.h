@@ -58,7 +58,12 @@ class TMemoryBuffer {
     rpos_ += n;
   }
 
+  /// Checks the declared length against the bytes present before
+  /// allocating, so a peer cannot buy a huge zero-fill with a few bytes.
   std::string read_string(size_t n) {
+    if (n > readable())
+      throw TTransportException(TTransportException::Kind::kEndOfFile,
+                                "TMemoryBuffer underflow");
     std::string s(n, '\0');
     read(s.data(), n);
     return s;

@@ -21,7 +21,11 @@ T byteswap_if_le(T v) {
 
 }  // namespace
 
-void TProtocol::skip(TType type) {
+void TProtocol::skip(TType type, int depth_left) {
+  if (depth_left <= 0)
+    throw TProtocolException(TProtocolException::Kind::kDepthLimit,
+                             "skip: nesting exceeds depth limit");
+  const int d = depth_left - 1;
   switch (type) {
     case TType::kBool: readBool(); return;
     case TType::kByte: readByte(); return;
@@ -35,7 +39,7 @@ void TProtocol::skip(TType type) {
       while (true) {
         FieldHead f = readFieldBegin();
         if (f.type == TType::kStop) break;
-        skip(f.type);
+        skip(f.type, d);
         readFieldEnd();
       }
       readStructEnd();
@@ -44,21 +48,21 @@ void TProtocol::skip(TType type) {
     case TType::kMap: {
       MapHead m = readMapBegin();
       for (uint32_t i = 0; i < m.size; ++i) {
-        skip(m.key);
-        skip(m.val);
+        skip(m.key, d);
+        skip(m.val, d);
       }
       readMapEnd();
       return;
     }
     case TType::kList: {
       ListHead l = readListBegin();
-      for (uint32_t i = 0; i < l.size; ++i) skip(l.elem);
+      for (uint32_t i = 0; i < l.size; ++i) skip(l.elem, d);
       readListEnd();
       return;
     }
     case TType::kSet: {
       ListHead l = readSetBegin();
-      for (uint32_t i = 0; i < l.size; ++i) skip(l.elem);
+      for (uint32_t i = 0; i < l.size; ++i) skip(l.elem, d);
       readSetEnd();
       return;
     }

@@ -82,13 +82,19 @@ class TProtocol {
   virtual std::string readString() = 0;
   std::string readBinary() { return readString(); }
 
-  /// Skips a value of the given type (unknown-field tolerance).
-  void skip(TType type);
+  /// Skips a value of the given type (unknown-field tolerance). Nesting
+  /// deeper than kMaxSkipDepth throws kDepthLimit instead of exhausting
+  /// the stack.
+  void skip(TType type) { skip(type, kMaxSkipDepth); }
+  static constexpr int kMaxSkipDepth = 64;  // Apache Thrift's default
 
   TMemoryBuffer& buffer() { return buf_; }
 
  protected:
   TMemoryBuffer& buf_;
+
+ private:
+  void skip(TType type, int depth_left);
 };
 
 /// Strict Thrift Binary protocol (version word 0x8001____).

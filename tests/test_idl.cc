@@ -4,6 +4,8 @@
 // containers), hint checking/filtering, and code-generation output.
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "idl/check.h"
 #include "idl/codegen.h"
 #include "idl/parser.h"
@@ -281,6 +283,21 @@ TEST(Codegen, EnumsSerializeAsI32) {
   EXPECT_NE(code.find("enum class E : int32_t"), std::string::npos);
   EXPECT_NE(code.find("writeI32(static_cast<int32_t>"), std::string::npos);
   EXPECT_NE(code.find("static_cast<E>(_p.readI32())"), std::string::npos);
+}
+
+TEST(Codegen, ListReserveIsBoundedByReadableBytes) {
+  // A peer-declared list size may reserve no more elements than the bytes
+  // left could encode; doubles take 8 bytes each on every protocol.
+  std::string code = generate(
+      "struct S { 1: list<double> d; 2: list<i64> l; } "
+      "service Svc { void f(1: S s); }");
+  EXPECT_TRUE(std::regex_search(
+      code, std::regex(R"(d\.reserve\(std::min<size_t>\(_lh\d+\.size, )"
+                       R"(_p\.buffer\(\)\.readable\(\) / 8\)\);)")))
+      << code;
+  EXPECT_TRUE(std::regex_search(
+      code, std::regex(R"(l\.reserve\(std::min<size_t>\(_lh\d+\.size, )"
+                       R"(_p\.buffer\(\)\.readable\(\)\)\);)")));
 }
 
 TEST(Codegen, ConstantsAreEmitted) {

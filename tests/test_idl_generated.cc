@@ -4,6 +4,7 @@
 // construct is exercised: structs, enums, containers, declared exceptions,
 // oneway calls, and the embedded hint map.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "core/engine.h"
 #include "echo_kv_gen.h"
@@ -151,6 +152,39 @@ TEST_F(GeneratedFixture, GeneratedHintsDrivePlanSelection) {
   });
   EXPECT_EQ(conn.channel_count(), 2u);  // WriteIMM shared by Fetch/Store +
                                         // the res_util Write-RNDV channel
+}
+
+TEST_F(GeneratedFixture, HugeDeclaredListSizeIsRejectedWithoutAllocating) {
+  // Stats args whose `which` list claims 2^31 - 1 strings but carries none.
+  hatrpc::thrift::TMemoryBuffer args;
+  hatrpc::thrift::TBinaryProtocol ap(args);
+  ap.writeFieldBegin(hatrpc::thrift::TType::kList, 1);
+  ap.writeListBegin(hatrpc::thrift::TType::kString, 0x7fffffff);
+  hatrpc::core::Buffer call =
+      hatrpc::core::HatDispatcher::make_call("Stats", args.view(), 1);
+
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const long before_kb = ru.ru_maxrss;
+  hatrpc::core::Buffer reply;
+  sim.spawn([](GeneratedFixture* self, hatrpc::core::View in,
+               hatrpc::core::Buffer* out) -> Task<void> {
+    *out = co_await self->server.dispatcher().process(in);
+    self->server.stop();
+  }(this, call, &reply));
+  sim.run();
+  getrusage(RUSAGE_SELF, &ru);
+  EXPECT_LT(ru.ru_maxrss - before_kb, 64L * 1024) << "peak RSS grew (KiB)";
+
+  try {
+    hatrpc::core::HatDispatcher::parse_reply(reply, "Stats");
+    FAIL() << "hostile list size produced a normal reply";
+  } catch (const hatrpc::thrift::TApplicationException& e) {
+    EXPECT_EQ(e.kind(),
+              hatrpc::thrift::TApplicationException::Kind::kInternalError);
+    EXPECT_NE(std::string(e.what()).find("underflow"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

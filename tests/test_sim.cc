@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
+#include <functional>
+#include <map>
 #include <numeric>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -479,7 +484,7 @@ TEST(Simulator, DeterministicEventCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Timing-wheel scheduler and TimerHandle API (DESIGN.md §12).
+// Indexed-heap scheduler and TimerHandle API (DESIGN.md §12).
 
 // Awaiter exposing the raw schedule_at() handle so tests can cancel and
 // reschedule a suspended coroutine's wakeup from the outside.
@@ -492,23 +497,21 @@ struct ScheduleAt {
   void await_resume() const noexcept {}
 };
 
-TEST(TimingWheel, SameTimestampFifoAcrossWheelAndHeap) {
-  // Events at one timestamp must dispatch in schedule order even when some
-  // were parked in the overflow heap (scheduled while T was beyond the wheel
-  // span) and others were inserted into the wheel (scheduled once the cursor
-  // had advanced near T).
+TEST(Scheduler, SameTimestampFifoAcrossScheduleTimes) {
+  // Events at one far-future timestamp dispatch in schedule order whether
+  // they were scheduled long before it (at t=0) or just before it.
   Simulator sim;
-  constexpr Time kT{uint64_t(1) << 49};  // beyond the 2^48 ns span from t=0
+  constexpr Time kT{uint64_t(1) << 49};
   std::vector<int> order;
   auto at_t = [](Simulator& s, std::vector<int>& order, int id,
                  Time wake) -> Task<void> {
     co_await s.sleep_until(wake);
     order.push_back(id);
   };
-  // ids 0,1 scheduled at t=0 for kT: overflow heap.
+  // ids 0,1 scheduled at t=0 for kT.
   sim.spawn(at_t(sim, order, 0, kT));
   sim.spawn(at_t(sim, order, 1, kT));
-  // id 2 first sleeps to kT-100ns, then schedules for kT: lands in the wheel.
+  // id 2 first sleeps to kT-100ns, then schedules for kT.
   sim.spawn([](Simulator& s, std::vector<int>& order, auto at_t,
                Time wake) -> Task<void> {
     co_await s.sleep_until(wake - Duration(100));
@@ -519,9 +522,8 @@ TEST(TimingWheel, SameTimestampFifoAcrossWheelAndHeap) {
   EXPECT_EQ(sim.now(), kT);
 }
 
-TEST(TimingWheel, RolloverAtFarFutureTimestamps) {
-  // Sleeps far beyond the wheel span (64^8 ns ~ 3.2 days) re-window the
-  // wheel around the overflow heap's front without losing ordering.
+TEST(Scheduler, FarFutureTimestampsKeepOrder) {
+  // Sleeps of several simulated days interleave with short ones in order.
   Simulator sim;
   std::vector<int> order;
   auto worker = [](Simulator& s, std::vector<int>& order, int id,
@@ -540,13 +542,11 @@ TEST(TimingWheel, RolloverAtFarFutureTimestamps) {
   EXPECT_EQ(sim.now(), Time(14 * kDay));
 }
 
-TEST(TimingWheel, SpanBoundaryCrossingGoesThroughOverflow) {
-  // Regression: a timer a short *distance* ahead of the cursor can still sit
-  // in the next 64^8-aligned block (tt ^ cursor >= 2^48). The wheel-fit test
-  // must use the XOR, not the distance — the old distance check linked such
-  // nodes at level 8, out of bounds, where no scan could ever find them.
+TEST(Scheduler, TimestampsStraddlingTwoToThe48KeepOrder) {
+  // Timers a few hundred ns apart on either side of t = 2^48 (a power-of-two
+  // boundary a bucketed scheduler once lost timers at) fire in order.
   Simulator sim;
-  constexpr uint64_t kSpan = uint64_t(1) << 48;
+  constexpr uint64_t kBoundary = uint64_t(1) << 48;
   std::vector<int> order;
   auto at_t = [](Simulator& s, std::vector<int>& order, int id,
                  Time wake) -> Task<void> {
@@ -555,25 +555,22 @@ TEST(TimingWheel, SpanBoundaryCrossingGoesThroughOverflow) {
   };
   sim.spawn([](Simulator& s, std::vector<int>& order,
                auto at_t) -> Task<void> {
-    // Park the cursor just below the 2^48 boundary...
-    co_await s.sleep_until(Time(kSpan - 1000));
-    // ...then schedule wakeups 500 ns apart straddling it. Both are within
-    // distance-kSpan of the cursor; the second crosses the aligned boundary.
-    co_await at_t(s, order, 1, Time(kSpan - 500));
-    co_await at_t(s, order, 2, Time(kSpan + 500));
+    // Advance to just below the 2^48 boundary, then schedule wakeups 500 ns
+    // apart straddling it.
+    co_await s.sleep_until(Time(kBoundary - 1000));
+    co_await at_t(s, order, 1, Time(kBoundary - 500));
+    co_await at_t(s, order, 2, Time(kBoundary + 500));
   }(sim, order, at_t));
-  sim.spawn(at_t(sim, order, 3, Time(kSpan + 500)));  // heap from t=0, same T
+  sim.spawn(at_t(sim, order, 3, Time(kBoundary + 500)));  // from t=0, same T
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
-  EXPECT_EQ(sim.now(), Time(kSpan + 500));
+  EXPECT_EQ(sim.now(), Time(kBoundary + 500));
   EXPECT_EQ(sim.pending_timers(), 0u);
 }
 
-TEST(ShallowQueue, MigrationPastCapacityPreservesOrder) {
-  // The scheduler starts in a sorted-vector fast path and migrates to the
-  // timing wheel when pending depth crosses the small-queue capacity (64).
-  // Spawning ~3x that many sleepers forces the migration mid-insert; the
-  // dispatch order must still be (timestamp, then schedule order).
+TEST(Scheduler, ManyScrambledSleepersDispatchByTimeThenScheduleOrder) {
+  // 200 sleepers with scrambled wakeups: dispatch order is (timestamp, then
+  // schedule order).
   Simulator sim;
   constexpr int kN = 200;
   std::vector<int> order;
@@ -598,9 +595,8 @@ TEST(ShallowQueue, MigrationPastCapacityPreservesOrder) {
   EXPECT_EQ(sim.pending_timers(), 0u);
 }
 
-TEST(ShallowQueue, ReArmsAfterWheelDrainsAndStaysCancellable) {
-  // Push past the small-queue capacity so the run starts on the wheel, let
-  // everything drain, then schedule (and cancel) in the re-armed fast path.
+TEST(Scheduler, SchedulesAndCancelsAfterAFullDrain) {
+  // Run 100 sleepers to a full drain, then schedule and cancel again.
   Simulator sim;
   std::vector<int> order;
   auto sleeper = [](Simulator& s, std::vector<int>& order, int id,
@@ -621,17 +617,136 @@ TEST(ShallowQueue, ReArmsAfterWheelDrainsAndStaysCancellable) {
     s.spawn(sleeper(s, order, 1000, 2us));
     s.spawn(sleeper(s, order, 1001, 1us));
     co_await s.sleep(500ns);
-    EXPECT_TRUE(th.cancel());  // cancel while resident in the shallow queue
+    EXPECT_TRUE(th.cancel());
     co_await s.sleep(10us);
     EXPECT_FALSE(fired);
   }(sim, order, sleeper));
   Simulator::RunResult r = sim.run();
   ASSERT_EQ(order.size(), 102u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(order[100], 1001);  // 1us before 2us in the re-armed queue
+  EXPECT_EQ(order[100], 1001);  // 1us before 2us
   EXPECT_EQ(order[101], 1000);
   EXPECT_EQ(r.timers_cancelled, 1u);
   EXPECT_EQ(sim.pending_timers(), 0u);
+}
+
+// One-shot coroutine for driving schedule_at() from outside the event loop:
+// resuming it runs `on_fire` once, then it parks at final suspend.
+struct Probe {
+  struct promise_type {
+    Probe get_return_object() {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  std::coroutine_handle<promise_type> h;
+};
+
+Probe make_probe(std::function<void()> on_fire) {
+  on_fire();
+  co_return;
+}
+
+TEST(Scheduler, RandomOpsMatchAnOrderedSetReferenceModel) {
+  // ~10k seeded schedule / cancel / reschedule / run_until steps against a
+  // std::set keyed on (time, seq). Some timers cancel another timer when
+  // they fire, which may sit in the same dispatch batch. Random cancels of
+  // mid-heap timers include ones whose replacement leaf orders before the
+  // cancelled timer's parent, which no other test reaches. Dispatch order,
+  // cancel results, clock and every counter must match the model exactly.
+  Simulator sim;
+  sim.set_tiebreak_seed(0);
+  Rng rng(20211114);
+
+  using Key = std::tuple<int64_t, uint64_t, int>;  // (time ns, seq, id)
+  std::set<Key> model;
+  std::map<int, Key> key_of_id;
+  uint64_t seq = 0;
+  int64_t model_now = 0;
+  uint64_t model_cancelled = 0;
+  size_t model_peak = 0;
+
+  std::vector<Probe> probes;
+  std::vector<TimerHandle> handles;
+  std::vector<int> cancel_target;  // per id: timer it cancels on fire, or -1
+  std::vector<int> fired, expect_fired;
+  std::vector<bool> fire_cancels, expect_fire_cancels;
+
+  auto model_insert = [&](int id, int64_t t) {
+    Key k{t, seq++, id};
+    model.insert(k);
+    key_of_id[id] = k;
+    model_peak = std::max(model_peak, model.size());
+  };
+  auto model_erase = [&](int id) {
+    auto it = key_of_id.find(id);
+    if (it == key_of_id.end()) return false;
+    model.erase(it->second);
+    key_of_id.erase(it);
+    return true;
+  };
+  auto pick_delay = [&]() -> int64_t {
+    uint64_t r = rng.bounded(100);
+    if (r < 30) return static_cast<int64_t>(rng.bounded(4));  // collisions
+    if (r < 95) return static_cast<int64_t>(rng.bounded(5000));
+    return (int64_t(1) << 49) + static_cast<int64_t>(rng.bounded(1000));
+  };
+
+  for (int step = 0; step < 10000; ++step) {
+    uint64_t op = rng.bounded(100);
+    if (op < 45 || handles.empty()) {
+      const int id = static_cast<int>(handles.size());
+      const int64_t t = model_now + pick_delay();
+      cancel_target.push_back(
+          handles.empty() || !rng.chance(0.2)
+              ? -1
+              : static_cast<int>(rng.bounded(handles.size())));
+      probes.push_back(make_probe([&, id] {
+        fired.push_back(id);
+        if (cancel_target[id] >= 0)
+          fire_cancels.push_back(handles[cancel_target[id]].cancel());
+      }));
+      handles.push_back(sim.schedule_at(Time(t), probes.back().h));
+      model_insert(id, t);
+    } else if (op < 60) {
+      const int id = static_cast<int>(rng.bounded(handles.size()));
+      const bool expect = model_erase(id);
+      if (expect) ++model_cancelled;
+      ASSERT_EQ(handles[id].cancel(), expect) << "step " << step;
+    } else if (op < 75) {
+      const int id = static_cast<int>(rng.bounded(handles.size()));
+      const int64_t t = model_now + pick_delay();
+      const bool expect = model_erase(id);
+      if (expect) model_insert(id, t);
+      ASSERT_EQ(handles[id].reschedule(Time(t)), expect) << "step " << step;
+    } else {
+      const int64_t deadline =
+          model_now + static_cast<int64_t>(rng.bounded(op < 98 ? 400 : 20000));
+      while (!model.empty() && std::get<0>(*model.begin()) <= deadline) {
+        const auto [t, s, id] = *model.begin();
+        model_erase(id);
+        model_now = t;
+        expect_fired.push_back(id);
+        if (cancel_target[id] >= 0) {
+          const bool hit = model_erase(cancel_target[id]);
+          if (hit) ++model_cancelled;
+          expect_fire_cancels.push_back(hit);
+        }
+      }
+      if (model.empty() && model_now < deadline) model_now = deadline;
+      Simulator::RunResult r = sim.run_until(Time(deadline));
+      ASSERT_EQ(fired, expect_fired) << "step " << step;
+      ASSERT_EQ(fire_cancels, expect_fire_cancels) << "step " << step;
+      ASSERT_EQ(r.end_time, Time(model_now)) << "step " << step;
+    }
+    ASSERT_EQ(sim.timers_cancelled(), model_cancelled) << "step " << step;
+    ASSERT_EQ(sim.pending_timers(), model.size()) << "step " << step;
+    ASSERT_EQ(sim.peak_queue_depth(), model_peak) << "step " << step;
+  }
+  for (Probe& p : probes) p.h.destroy();
 }
 
 TEST(TimerHandle, CancelledTimerDoesNotFire) {
@@ -753,7 +868,7 @@ TEST(Arena, FrameArenaReusesSteadyStateAllocations) {
 TEST(Determinism, SameSeedProducesByteIdenticalTrace) {
   // Pin the dispatch schedule itself, not just aggregate counts: two runs
   // with one seed must produce byte-identical (time, task, step) traces
-  // through wheel, cascade, overflow, and cancellation paths alike.
+  // through far-future, same-timestamp and cancellation paths alike.
   auto trace_once = [](uint64_t seed) {
     Simulator sim;
     Rng rng(seed);
@@ -765,7 +880,7 @@ TEST(Determinism, SameSeedProducesByteIdenticalTrace) {
         for (int step = 0; step < 50; ++step) {
           uint64_t r = rng.next() % 100;
           if (r < 2) {
-            // Far-future hop: exercises the overflow heap and re-windowing.
+            // Far-future hop: several simulated days ahead.
             co_await s.sleep(Duration(86'400'000'000'000 + (rng.next() & 0xffff)));
           } else if (r < 30) {
             // Timed wait that always times out: cancel-path traffic.

@@ -1,9 +1,10 @@
 // Serialization tests: Binary and Compact protocol round trips for every
 // scalar type, strings, containers, nested structs, field skipping, message
 // envelopes, and compact-specific encodings (zigzag varints, bool-in-header,
-// field-id deltas). Parameterized across both protocols where behaviour
-// must be identical.
+// field-id deltas), plus rejection of hostile nesting depths and lengths.
+// Parameterized across both protocols where behaviour must be identical.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <functional>
@@ -12,19 +13,17 @@
 
 #include "sim/rng.h"
 
-#include "thrift/json_protocol.h"
 #include "thrift/protocol.h"
 
 namespace hatrpc::thrift {
 namespace {
 
-enum class Proto { kBinary, kCompact, kJson };
+enum class Proto { kBinary, kCompact };
 
 std::unique_ptr<TProtocol> make_proto(Proto p, TMemoryBuffer& buf) {
   switch (p) {
     case Proto::kBinary: return std::make_unique<TBinaryProtocol>(buf);
     case Proto::kCompact: return std::make_unique<TCompactProtocol>(buf);
-    case Proto::kJson: return std::make_unique<TJSONProtocol>(buf);
   }
   return nullptr;
 }
@@ -286,13 +285,11 @@ TEST_P(ProtocolRoundTrip, SkipUnknownFields) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, ProtocolRoundTrip,
-                         ::testing::Values(Proto::kBinary, Proto::kCompact,
-                                           Proto::kJson),
+                         ::testing::Values(Proto::kBinary, Proto::kCompact),
                          [](const auto& info) {
                            switch (info.param) {
                              case Proto::kBinary: return "Binary";
                              case Proto::kCompact: return "Compact";
-                             case Proto::kJson: return "Json";
                            }
                            return "?";
                          });
@@ -335,59 +332,6 @@ TEST(BinaryProtocol, RejectsNegativeStringLength) {
   EXPECT_THROW(r.readString(), TProtocolException);
 }
 
-TEST(JsonProtocol, WireFormatIsReadableJson) {
-  TMemoryBuffer buf;
-  TJSONProtocol p(buf);
-  p.writeStructBegin("S");
-  p.writeFieldBegin(TType::kI32, 1);
-  p.writeI32(42);
-  p.writeFieldEnd();
-  p.writeFieldBegin(TType::kString, 2);
-  p.writeString("hi \"there\"");
-  p.writeFieldEnd();
-  p.writeFieldStop();
-  p.writeStructEnd();
-  auto v = buf.view();
-  std::string wire(reinterpret_cast<const char*>(v.data()), v.size());
-  EXPECT_EQ(wire,
-            "{\"1\":{\"i32\":42},\"2\":{\"str\":\"hi \\\"there\\\"\"}}");
-}
-
-TEST(JsonProtocol, NumericMapKeysAreQuoted) {
-  TMemoryBuffer buf;
-  TJSONProtocol p(buf);
-  p.writeMapBegin(TType::kI64, TType::kString, 2);
-  p.writeI64(7);
-  p.writeString("seven");
-  p.writeI64(-3);
-  p.writeString("neg");
-  p.writeMapEnd();
-  auto v = buf.view();
-  std::string wire(reinterpret_cast<const char*>(v.data()), v.size());
-  EXPECT_NE(wire.find("\"7\":\"seven\""), std::string::npos) << wire;
-  TJSONProtocol r(buf);
-  auto m = r.readMapBegin();
-  EXPECT_EQ(m.size, 2u);
-  EXPECT_EQ(r.readI64(), 7);
-  EXPECT_EQ(r.readString(), "seven");
-  EXPECT_EQ(r.readI64(), -3);
-  EXPECT_EQ(r.readString(), "neg");
-  r.readMapEnd();
-}
-
-TEST(JsonProtocol, MessageEnvelopeRoundTrip) {
-  TMemoryBuffer buf;
-  TJSONProtocol p(buf);
-  p.writeMessageBegin("Ping", TMessageType::kCall, 9);
-  p.writeMessageEnd();
-  TJSONProtocol r(buf);
-  auto h = r.readMessageBegin();
-  EXPECT_EQ(h.name, "Ping");
-  EXPECT_EQ(h.type, TMessageType::kCall);
-  EXPECT_EQ(h.seqid, 9);
-  r.readMessageEnd();
-}
-
 TEST(MemoryBuffer, UnderflowThrows) {
   TMemoryBuffer buf;
   buf.write("ab", 2);
@@ -401,6 +345,98 @@ TEST(MemoryBuffer, WrapGivesReadAccess) {
       {reinterpret_cast<const std::byte*>(s.data()), s.size()});
   EXPECT_EQ(b.read_string(7), "wrapped");
   EXPECT_EQ(b.readable(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: declared nesting and lengths come from the peer and must be
+// rejected with an exception, never a crash or an allocation they did not pay
+// for in bytes.
+// ---------------------------------------------------------------------------
+
+// Writes `levels` structs, each the only field (id 1) of the one outside it.
+// Unclosed, the bytes are just the chain of struct headers.
+void write_nested_structs(TProtocol& p, int levels, bool closed) {
+  for (int i = 0; i < levels; ++i) {
+    p.writeStructBegin("N");
+    if (i + 1 < levels) p.writeFieldBegin(TType::kStruct, 1);
+  }
+  if (!closed) return;
+  for (int i = 0; i < levels; ++i) {
+    p.writeFieldStop();
+    p.writeStructEnd();
+    if (i + 1 < levels) p.writeFieldEnd();
+  }
+}
+
+TEST_P(ProtocolRoundTrip, SkipAcceptsNestingUpToTheDepthLimit) {
+  TMemoryBuffer buf;
+  auto w = make_proto(GetParam(), buf);
+  write_nested_structs(*w, TProtocol::kMaxSkipDepth, /*closed=*/true);
+  auto r = make_proto(GetParam(), buf);
+  r->skip(TType::kStruct);
+  EXPECT_EQ(buf.readable(), 0u);
+
+  TMemoryBuffer deeper;
+  auto w2 = make_proto(GetParam(), deeper);
+  write_nested_structs(*w2, TProtocol::kMaxSkipDepth + 1, /*closed=*/true);
+  auto r2 = make_proto(GetParam(), deeper);
+  try {
+    r2->skip(TType::kStruct);
+    FAIL() << "skip accepted nesting past the depth limit";
+  } catch (const TProtocolException& e) {
+    EXPECT_EQ(e.kind(), TProtocolException::Kind::kDepthLimit);
+  }
+}
+
+TEST(HostileInput, DeeplyNestedStructHeadersThrowInsteadOfOverflowingStack) {
+  for (Proto proto : {Proto::kBinary, Proto::kCompact}) {
+    TMemoryBuffer buf;
+    auto w = make_proto(proto, buf);
+    write_nested_structs(*w, 100000, /*closed=*/false);
+    auto r = make_proto(proto, buf);
+    try {
+      r->skip(TType::kStruct);
+      FAIL() << "skip returned on 100k nested struct headers";
+    } catch (const TProtocolException& e) {
+      EXPECT_EQ(e.kind(), TProtocolException::Kind::kDepthLimit);
+    }
+  }
+}
+
+size_t peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<size_t>(ru.ru_maxrss);
+}
+
+TMemoryBuffer wrap_bytes(std::initializer_list<uint8_t> bytes) {
+  std::vector<std::byte> v;
+  for (uint8_t b : bytes) v.push_back(std::byte{b});
+  return TMemoryBuffer::wrap(v);
+}
+
+TEST(HostileInput, HugeDeclaredStringLengthThrowsWithoutAllocating) {
+  const size_t before = peak_rss_kb();
+  {
+    // Binary: a 4-byte message that is only a 2 GiB - 1 length prefix.
+    TMemoryBuffer b = wrap_bytes({0x7f, 0xff, 0xff, 0xff});
+    TBinaryProtocol p(b);
+    EXPECT_THROW(p.readString(), TTransportException);
+  }
+  {
+    // Compact: varint 2^31.
+    TMemoryBuffer b = wrap_bytes({0x80, 0x80, 0x80, 0x80, 0x08});
+    TCompactProtocol p(b);
+    EXPECT_THROW(p.readString(), TTransportException);
+  }
+  {
+    // Binary message envelope whose method name claims 2 GiB - 1 bytes.
+    TMemoryBuffer b =
+        wrap_bytes({0x80, 0x01, 0x00, 0x01, 0x7f, 0xff, 0xff, 0xff});
+    TBinaryProtocol p(b);
+    EXPECT_THROW(p.readMessageBegin(), TTransportException);
+  }
+  EXPECT_LT(peak_rss_kb() - before, 64u * 1024) << "peak RSS grew (KiB)";
 }
 
 // ---------------------------------------------------------------------------

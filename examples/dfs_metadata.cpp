@@ -60,18 +60,25 @@ int main() {
 
   core::HatServer server(*server_node, dfs_hints(), {});
   server.dispatcher().register_method(
-      "Stat", [&](core::View) -> Task<core::Buffer> {
+      "Stat",
+      [&](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
         co_await server_node->cpu().compute(400ns);  // inode lookup
-        co_return bytes_of("size=4096 mode=0644 mtime=1636000000");
+        const core::Buffer stat =
+            bytes_of("size=4096 mode=0644 mtime=1636000000");
+        out.write(stat.data(), stat.size());
       });
   server.dispatcher().register_method(
-      "ReadChunk", [&](core::View) -> Task<core::Buffer> {
+      "ReadChunk",
+      [&](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
         co_await server_node->cpu().compute(5us);  // page-cache read
-        co_return core::Buffer(256 << 10, std::byte{0x42});
+        const core::Buffer chunk(256 << 10, std::byte{0x42});
+        out.write(chunk.data(), chunk.size());
       });
   server.dispatcher().register_method(
-      "Heartbeat", [&](core::View) -> Task<core::Buffer> {
-        co_return bytes_of("ok");
+      "Heartbeat",
+      [&](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
+        out.write("ok", 2);
+        co_return;
       });
 
   core::HatConnection conn(*client_node, server);

@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <exception>
+
 namespace hatrpc::core {
 
 using sim::Task;
@@ -15,7 +17,10 @@ HatServer::HatServer(verbs::Node& node, hint::ServiceHints hints,
   }
 }
 
-HatServer::~HatServer() { stop(); }
+HatServer::~HatServer() {
+  stop();
+  for (HatConnection* c : connections_) c->server_alive_ = false;
+}
 
 proto::Handler HatServer::processor() {
   return [this](proto::View req) -> Task<proto::Buffer> {
@@ -42,6 +47,10 @@ HatConnection::HatConnection(verbs::Node& client, HatServer& server)
     : client_(client), server_(server),
       tcp_ready_(client.fabric().simulator()) {
   server_.track(this);
+}
+
+HatConnection::~HatConnection() {
+  if (server_alive_) std::erase(server_.connections_, this);
 }
 
 const hint::Plan& HatConnection::plan_for(const std::string& method) {
@@ -122,18 +131,32 @@ Task<Buffer> HatConnection::call(std::string method, View payload) {
   Buffer envelope = HatDispatcher::make_call(method, payload, ++seq_);
   co_await charge_serialize(client_, envelope.size());
 
-  Buffer reply;
+  proto::LeasedReply reply;
   if (plan.transport == hint::Transport::kTcp) {
     thrift::SocketRpcClient* rpc = co_await tcp_client();
-    reply = co_await rpc->call(envelope);
+    reply = proto::LeasedReply(co_await rpc->call(envelope));
   } else {
     proto::RpcChannel& ch = channel_for(plan);
-    proto::CallResult r = co_await ch.call(envelope, plan.expected_payload);
+    proto::LeasedResult r =
+        co_await ch.call_leased(envelope, plan.expected_payload);
     reply = std::move(r).value();
   }
 
-  co_await charge_serialize(client_, reply.size());
-  co_return HatDispatcher::parse_reply(reply, method);
+  // Only the result struct is copied out of the lease, which is released
+  // (freeing its window slot) before the deserialize charge. An error reply
+  // is charged, then thrown.
+  const size_t reply_size = reply.bytes().size();
+  Buffer result;
+  std::exception_ptr error;
+  try {
+    result = HatDispatcher::parse_reply(reply.bytes(), method);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  reply.release();
+  co_await charge_serialize(client_, reply_size);
+  if (error) std::rethrow_exception(error);
+  co_return result;
 }
 
 void HatConnection::close() {

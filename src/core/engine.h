@@ -65,6 +65,8 @@ class HatServer {
   thrift::SocketNet* net_;
   HatDispatcher dispatcher_;
   std::unique_ptr<thrift::TServer> tcp_server_;
+  /// Live connections: each untracks itself on destruction, so stop()
+  /// never touches a dead one; ~HatServer detaches the ones outliving it.
   std::vector<HatConnection*> connections_;
   bool stopped_ = false;
 };
@@ -74,6 +76,7 @@ class HatServer {
 class HatConnection : public HatCaller {
  public:
   HatConnection(verbs::Node& client, HatServer& server);
+  ~HatConnection() override;
 
   sim::Task<Buffer> call(std::string method, View payload) override;
 
@@ -88,6 +91,7 @@ class HatConnection : public HatCaller {
   void close();
 
  private:
+  friend class HatServer;
   using ChannelKey = std::tuple<int, int, int, bool, uint32_t>;
   ChannelKey key_of(const hint::Plan& p) const {
     return {static_cast<int>(p.protocol), static_cast<int>(p.client_poll),
@@ -108,6 +112,7 @@ class HatConnection : public HatCaller {
   sim::Event tcp_ready_;
   int32_t seq_ = 0;
   bool closed_ = false;
+  bool server_alive_ = true;  // cleared by ~HatServer
 };
 
 }  // namespace hatrpc::core

@@ -32,12 +32,16 @@ class HatCaller {
 };
 
 /// Server-side method table: method name -> handler over serialized args.
-/// process() parses the Thrift message envelope, dispatches, and wraps the
-/// result (or a TApplicationException) in a reply envelope.
+/// process() parses the Thrift message envelope, writes the reply envelope,
+/// and dispatches; the method appends its result struct after it (Apache
+/// Thrift's TProcessor::process(in, out) shape). A method that throws gets
+/// a TApplicationException reply instead.
 class HatDispatcher {
  public:
-  /// Takes the serialized args struct; returns the serialized result struct.
-  using MethodFn = std::function<sim::Task<Buffer>(View args)>;
+  /// Takes the serialized args struct; appends the serialized result struct
+  /// to `out`, which already holds the reply envelope.
+  using MethodFn =
+      std::function<sim::Task<void>(View args, thrift::TMemoryBuffer& out)>;
 
   void register_method(std::string name, MethodFn fn) {
     methods_[std::move(name)] = std::move(fn);
@@ -67,11 +71,10 @@ class HatDispatcher {
     // Undeclared exceptions escaping a handler become INTERNAL_ERROR
     // replies (Apache Thrift behaviour) rather than tearing down the
     // server's serve loop.
+    op.writeMessageBegin(head.name, thrift::TMessageType::kReply,
+                         head.seqid);
     try {
-      Buffer result = co_await it->second(request.subspan(consumed));
-      op.writeMessageBegin(head.name, thrift::TMessageType::kReply,
-                           head.seqid);
-      out.write(result.data(), result.size());
+      co_await it->second(request.subspan(consumed), out);
     } catch (const std::exception& e) {
       out.reset();
       op.writeMessageBegin(head.name, thrift::TMessageType::kException,
@@ -91,8 +94,8 @@ class HatDispatcher {
     return buf.take();
   }
 
-  /// Strips the reply envelope; throws TApplicationException on error
-  /// replies. Returns the serialized result struct bytes.
+  /// Strips the reply envelope in place; throws TApplicationException on
+  /// error replies. Returns a copy of the serialized result struct bytes.
   static Buffer parse_reply(View reply, const std::string& method) {
     thrift::TMemoryBuffer buf = thrift::TMemoryBuffer::wrap(reply);
     thrift::TBinaryProtocol p(buf);

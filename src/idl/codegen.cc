@@ -488,8 +488,9 @@ class Generator {
             "(hatrpc::core::HatDispatcher& _d, " + s.name + "If& _h) {");
     for (const FunctionDef& f : s.functions) {
       w_.open("_d.register_method(\"" + f.name +
-              "\", [&_h](hatrpc::core::View _in) -> "
-              "hatrpc::sim::Task<hatrpc::core::Buffer> {");
+              "\", [&_h](hatrpc::core::View _in, "
+              "hatrpc::thrift::TMemoryBuffer& _out) -> "
+              "hatrpc::sim::Task<void> {");
       w_.line("hatrpc::thrift::TMemoryBuffer _ab = "
               "hatrpc::thrift::TMemoryBuffer::wrap(_in);");
       w_.line("hatrpc::thrift::TBinaryProtocol _ap(_ab);");
@@ -512,8 +513,9 @@ class Generator {
       w_.close();
       w_.line("_p.readStructEnd();");
       w_.line("}");
-      w_.line("hatrpc::thrift::TMemoryBuffer _rb;");
-      w_.line("hatrpc::thrift::TBinaryProtocol _rp(_rb);");
+      // The result struct goes straight after the dispatcher's reply
+      // envelope in _out.
+      w_.line("hatrpc::thrift::TBinaryProtocol _rp(_out);");
       std::string call_args;
       for (size_t i = 0; i < f.args.size(); ++i) {
         if (i) call_args += ", ";
@@ -554,7 +556,7 @@ class Generator {
       w_.close("}");
       w_.line("_rp.writeFieldStop();");
       w_.line("_rp.writeStructEnd();");
-      w_.line("co_return _rb.take();");
+      w_.line("co_return;");
       w_.close("});");
     }
     w_.close("}");

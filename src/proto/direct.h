@@ -24,7 +24,17 @@ namespace hatrpc::proto {
 
 class DirectChannel : public ChannelBase {
  protected:
-  sim::Task<Buffer> do_call(View req, uint32_t /*resp_size_hint*/) override {
+  sim::Task<Buffer> do_call(View req, uint32_t resp_size_hint) override {
+    LeasedReply r = co_await do_call_leased(req, resp_size_hint);
+    View v = r.bytes();
+    co_return Buffer(v.begin(), v.end());
+  }
+
+  /// The response is handed out in place: a view into this call's slot of
+  /// the client's pre-known response buffer. The slot stays out of the
+  /// window until the lease is released, so no later call overwrites it.
+  sim::Task<LeasedReply> do_call_leased(
+      View req, uint32_t /*resp_size_hint*/) override {
     if (req.size() > cfg_.max_msg)
       throw std::length_error("direct protocol: request exceeds the "
                               "pre-known buffer");
@@ -49,7 +59,7 @@ class DirectChannel : public ChannelBase {
                     inl);
     } else {
       std::byte* src = cli_req_src_->data() + off;
-      std::memcpy(src, req.data(), req.size());
+      if (len > 0) std::memcpy(src, req.data(), len);
       co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, slot,
                     cli_notify_src_);
     }
@@ -59,10 +69,8 @@ class DirectChannel : public ChannelBase {
       release_slot(slot);
       throw_wc("direct recv", pend->status);
     }
-    const std::byte* p = cli_resp_buf_->data() + off;
-    Buffer resp(p, p + pend->len);
-    release_slot(slot);
-    co_return resp;
+    co_return LeasedReply(View{cli_resp_buf_->data() + off, pend->len},
+                          [this, slot] { release_slot(slot); });
   }
 
   sim::Task<void> serve() override {
@@ -167,7 +175,8 @@ class DirectChannel : public ChannelBase {
     } else {
       // Large responses keep the staged path: the WQE reads the payload at
       // execution time, after this task's Buffer is gone.
-      std::memcpy(srv_resp_src_->data() + off, resp.data(), resp.size());
+      if (rlen > 0)
+        std::memcpy(srv_resp_src_->data() + off, resp.data(), rlen);
       co_await push(sep_.qp, srv_resp_src_->data() + off,
                     cli_resp_buf_->remote(off), rlen, slot, srv_notify_src_);
     }

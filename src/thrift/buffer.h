@@ -3,6 +3,7 @@
 // the async boundary (simulated transports) is at message granularity.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -19,10 +20,16 @@ class TMemoryBuffer {
  public:
   TMemoryBuffer() = default;
 
-  /// Read-only view over existing bytes (zero-copy deserialization entry).
+  /// Read-only view over existing bytes (zero-copy deserialization entry):
+  /// nothing is copied or allocated, so the wrapped bytes must outlive the
+  /// buffer. A write() first copies them into owned storage; the source is
+  /// never written.
   static TMemoryBuffer wrap(std::span<const std::byte> bytes) {
     TMemoryBuffer b;
-    b.buf_.assign(bytes.begin(), bytes.end());
+    // Capacity 0 sends every write down the spill path, so the const bytes
+    // are only ever read through ext_.
+    b.ext_ = const_cast<std::byte*>(bytes.data());
+    b.ext_len_ = bytes.size();
     return b;
   }
 
@@ -37,6 +44,7 @@ class TMemoryBuffer {
   }
 
   void write(const void* p, size_t n) {
+    if (n == 0) return;
     const std::byte* s = static_cast<const std::byte*>(p);
     if (in_ext()) {
       if (ext_len_ + n <= ext_cap_) {
@@ -44,8 +52,14 @@ class TMemoryBuffer {
         ext_len_ += n;
         return;
       }
+      buf_.reserve(ext_len_ + n + kSlack);  // empty while in_ext()
       buf_.assign(ext_, ext_ + ext_len_);
       spilled_ = true;
+    } else if (buf_.size() + n > buf_.capacity()) {
+      // Geometric growth with slack: a vector's range insert grows to the
+      // exact size, so the 1-byte field stop after a large string would
+      // otherwise reallocate and copy the whole string again.
+      buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + n + kSlack));
     }
     buf_.insert(buf_.end(), s, s + n);
   }
@@ -59,13 +73,13 @@ class TMemoryBuffer {
   }
 
   /// Checks the declared length against the bytes present before
-  /// allocating, so a peer cannot buy a huge zero-fill with a few bytes.
+  /// allocating, so a peer cannot buy a huge allocation with a few bytes.
   std::string read_string(size_t n) {
     if (n > readable())
       throw TTransportException(TTransportException::Kind::kEndOfFile,
                                 "TMemoryBuffer underflow");
-    std::string s(n, '\0');
-    read(s.data(), n);
+    std::string s(reinterpret_cast<const char*>(data() + rpos_), n);
+    rpos_ += n;
     return s;
   }
 
@@ -88,13 +102,15 @@ class TMemoryBuffer {
   }
 
  private:
+  static constexpr size_t kSlack = 64;  // headroom for trailing headers
+
   bool in_ext() const { return ext_ != nullptr && !spilled_; }
   const std::byte* data() const { return in_ext() ? ext_ : buf_.data(); }
   size_t size() const { return in_ext() ? ext_len_ : buf_.size(); }
 
   std::vector<std::byte> buf_;
   size_t rpos_ = 0;
-  std::byte* ext_ = nullptr;  // external backing (zero-copy serialization)
+  std::byte* ext_ = nullptr;  // external backing (backed() or wrap())
   size_t ext_cap_ = 0;
   size_t ext_len_ = 0;
   bool spilled_ = false;

@@ -174,6 +174,7 @@ class TRdma final : public MessageTransport {
       req = heap;
     }
     if (leased_reads_) {
+      in_lease_.release();  // a windowed channel may need its slot back
       proto::LeasedResult r = co_await ep_.channel().call_leased(req,
                                                                  resp_hint_);
       end_send();

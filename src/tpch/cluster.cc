@@ -105,7 +105,7 @@ TpchCluster::TpchCluster(sim::Simulator& sim, int workers, DbgenConfig dbcfg,
     for (const Query& q : all_queries()) {
       rt->server->dispatcher().register_method(
           method_name(q.id),
-          [raw, &q](core::View) -> Task<core::Buffer> {
+          [raw, &q](core::View, thrift::TMemoryBuffer& out) -> Task<void> {
             verbs::Node& node = *raw->node;
             // Scan/join passes over the local partition.
             int64_t rows = int64_t(raw->slice.fact_rows());
@@ -114,7 +114,8 @@ TpchCluster::TpchCluster(sim::Simulator& sim, int workers, DbgenConfig dbcfg,
             std::vector<Row> partial = q.local(raw->slice);
             co_await node.cpu().compute(kPartialRowCpu *
                                         int64_t(partial.size()));
-            co_return serialize_rows(partial);
+            const core::Buffer bytes = serialize_rows(partial);
+            out.write(bytes.data(), bytes.size());
           });
     }
     rt->conn = std::make_unique<core::HatConnection>(*coordinator_,

@@ -358,6 +358,32 @@ TEST(LeasedReceive, InPlaceDeliverySkipsTheClientCopyAndRepostsTheSlot) {
   sim.run();
 }
 
+TEST(LeasedReceive, DirectWriteImmLeasesItsResponseSlotInPlace) {
+  // Window 1: the second call only gets the slot back once the first lease
+  // is released.
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  verbs::Node* cl = fabric.add_node();
+  verbs::Node* sv = fabric.add_node();
+  auto ch = proto::make_channel(ProtocolKind::kDirectWriteImm, *cl, *sv,
+                                echo_handler(*sv), ChannelConfig{});
+  int in_place = 0;
+  sim.spawn([](proto::RpcChannel& ch, int& in_place) -> Task<void> {
+    for (int i = 0; i < 2; ++i) {
+      Buffer req(4096, std::byte(0x30 + i));
+      auto r = co_await ch.call_leased(req, uint32_t(req.size()));
+      proto::LeasedReply reply = std::move(*r);
+      if (reply.in_place()) ++in_place;
+      EXPECT_TRUE(std::equal(req.begin(), req.end(), reply.bytes().begin(),
+                             reply.bytes().end()));
+    }
+    ch.shutdown();
+  }(*ch, in_place));
+  sim.run();
+  EXPECT_EQ(in_place, 2);
+  EXPECT_EQ(sim.live_tasks(), 0u);
+}
+
 TEST(LeasedReceive, WindowedLeasesRouteAndFallBackWhenRingIsTight) {
   Simulator sim;
   verbs::Fabric fabric(sim);

@@ -23,6 +23,9 @@ Buffer bytes_of(const std::string& s) {
 std::string str_of(View v) {
   return {reinterpret_cast<const char*>(v.data()), v.size()};
 }
+void write_str(thrift::TMemoryBuffer& out, std::string_view s) {
+  out.write(s.data(), s.size());
+}
 
 TEST(Dispatcher, EnvelopeRoundTrip) {
   Buffer env = HatDispatcher::make_call("Ping", bytes_of("ARGS"), 7);
@@ -37,9 +40,11 @@ TEST(Dispatcher, EnvelopeRoundTrip) {
 TEST(Dispatcher, DispatchesToRegisteredMethod) {
   Simulator sim;
   HatDispatcher d;
-  d.register_method("Echo", [](View args) -> Task<Buffer> {
-    co_return Buffer(args.begin(), args.end());
-  });
+  d.register_method("Echo",
+                    [](View args, thrift::TMemoryBuffer& out) -> Task<void> {
+                      out.write(args.data(), args.size());
+                      co_return;
+                    });
   EXPECT_TRUE(d.has_method("Echo"));
   Buffer env = HatDispatcher::make_call("Echo", bytes_of("payload"), 1);
   std::string got;
@@ -74,7 +79,9 @@ TEST(Dispatcher, UnknownMethodYieldsApplicationException) {
 TEST(Dispatcher, MismatchedReplyNameThrows) {
   Simulator sim;
   HatDispatcher d;
-  d.register_method("A", [](View) -> Task<Buffer> { co_return Buffer{}; });
+  d.register_method("A", [](View, thrift::TMemoryBuffer&) -> Task<void> {
+    co_return;
+  });
   Buffer env = HatDispatcher::make_call("A", bytes_of(""), 3);
   sim.spawn([](HatDispatcher& d, Buffer env) -> Task<void> {
     Buffer reply = co_await d.process(env);
@@ -117,9 +124,9 @@ hint::ServiceHints heterogeneous_hints() {
 void register_echo_methods(HatServer& server) {
   for (const char* m : {"FastGet", "BulkPut", "Legacy", "Plain"}) {
     server.dispatcher().register_method(
-        m, [&server](View args) -> Task<Buffer> {
+        m, [&server](View args, thrift::TMemoryBuffer& out) -> Task<void> {
           co_await server.node().cpu().compute(300ns);
-          co_return Buffer(args.begin(), args.end());
+          out.write(args.data(), args.size());
         });
   }
 }
@@ -180,8 +187,9 @@ TEST(Engine, ChannelsMaterializeLazilyAndAreSharedPerPlan) {
   register_echo_methods(server);
   server.dispatcher().register_method(
       "FastGet2",
-      [](View args) -> Task<Buffer> {
-        co_return Buffer(args.begin(), args.end());
+      [](View args, thrift::TMemoryBuffer& out) -> Task<void> {
+        out.write(args.data(), args.size());
+        co_return;
       });
   HatConnection conn(*c.client, server);
   EXPECT_EQ(conn.channel_count(), 0u);  // lazy
@@ -282,9 +290,10 @@ TEST(Dispatcher, HandlerExceptionBecomesInternalErrorReply) {
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   int calls = 0;
   server.dispatcher().register_method(
-      "Flaky", [&calls](View) -> Task<Buffer> {
+      "Flaky", [&calls](View, thrift::TMemoryBuffer& out) -> Task<void> {
         if (++calls == 1) throw std::runtime_error("handler blew up");
-        co_return bytes_of("recovered");
+        write_str(out, "recovered");
+        co_return;
       });
   HatConnection conn(*c.client, server);
   bool caught = false;
@@ -309,6 +318,69 @@ TEST(Dispatcher, HandlerExceptionBecomesInternalErrorReply) {
   EXPECT_EQ(c.sim.live_tasks(), 0u);
 }
 
+TEST(Dispatcher, HandlerErrorReleasesTheDirectSlotOnAWindowOneChannel) {
+  // FastGet plans Direct-WriteIMM on a window-1 channel: the error reply
+  // arrives through a leased slot, so the follow-up call only gets a slot
+  // if the error path released the lease.
+  Cluster c;
+  HatServer server(*c.server_node, heterogeneous_hints(), {});
+  int calls = 0;
+  server.dispatcher().register_method(
+      "FastGet", [&calls](View args, thrift::TMemoryBuffer& out) -> Task<void> {
+        if (++calls == 1) throw std::runtime_error("first call fails");
+        out.write(args.data(), args.size());
+        co_return;
+      });
+  HatConnection conn(*c.client, server);
+  const hint::Plan& plan = conn.plan_for("FastGet");
+  ASSERT_EQ(plan.protocol, proto::ProtocolKind::kDirectWriteImm);
+  ASSERT_EQ(server.config().channel.window, 1u);
+  bool caught = false;
+  std::string second;
+  c.sim.spawn([](HatConnection& conn, bool& caught, std::string& second,
+                 HatServer& server) -> Task<void> {
+    try {
+      co_await conn.call("FastGet", bytes_of("one"));
+    } catch (const thrift::TApplicationException& e) {
+      caught = true;
+      EXPECT_EQ(e.kind(),
+                thrift::TApplicationException::Kind::kInternalError);
+    }
+    second = str_of(co_await conn.call("FastGet", bytes_of("two")));
+    server.stop();
+  }(conn, caught, second, server));
+  c.sim.run();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(second, "two");
+  EXPECT_EQ(c.sim.live_tasks(), 0u);
+}
+
+TEST(Engine, ConnectionDestroyedBeforeItsServerIsUntracked) {
+  Cluster c;
+  HatServer server(*c.server_node, heterogeneous_hints(), {});
+  register_echo_methods(server);
+  {
+    HatConnection conn(*c.client, server);
+    c.sim.spawn([](HatConnection& conn) -> Task<void> {
+      co_await conn.call("FastGet", bytes_of("x"));
+      conn.close();
+    }(conn));
+    c.sim.run();
+  }
+  server.stop();  // must not touch the destroyed connection
+  c.sim.run();
+  EXPECT_EQ(c.sim.live_tasks(), 0u);
+}
+
+TEST(Engine, ConnectionOutlivingItsServerIsDetached) {
+  Cluster c;
+  auto server = std::make_unique<HatServer>(*c.server_node,
+                                            heterogeneous_hints(),
+                                            EngineConfig{});
+  HatConnection conn(*c.client, *server);
+  server.reset();  // the connection's destructor must not untrack from it
+}
+
 TEST(Multiplexed, TwoServicesShareOneConnection) {
   // Thrift multiplexing: "Calc:Add" and "Echo:Add" are distinct methods on
   // one dispatcher/connection.
@@ -316,12 +388,16 @@ TEST(Multiplexed, TwoServicesShareOneConnection) {
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   MultiplexedDispatcher calc(server.dispatcher(), "Calc");
   MultiplexedDispatcher echo(server.dispatcher(), "Echo");
-  calc.register_method("Add", [](View) -> Task<Buffer> {
-    co_return bytes_of("calc-add");
-  });
-  echo.register_method("Add", [](View) -> Task<Buffer> {
-    co_return bytes_of("echo-add");
-  });
+  calc.register_method("Add",
+                       [](View, thrift::TMemoryBuffer& out) -> Task<void> {
+                         write_str(out, "calc-add");
+                         co_return;
+                       });
+  echo.register_method("Add",
+                       [](View, thrift::TMemoryBuffer& out) -> Task<void> {
+                         write_str(out, "echo-add");
+                         co_return;
+                       });
   HatConnection conn(*c.client, server);
   MultiplexedCaller calc_caller(conn, "Calc");
   MultiplexedCaller echo_caller(conn, "Echo");
@@ -341,9 +417,11 @@ TEST(Multiplexed, UnprefixedCallMissesService) {
   Cluster c;
   HatServer server(*c.server_node, heterogeneous_hints(), {});
   MultiplexedDispatcher calc(server.dispatcher(), "Calc");
-  calc.register_method("Add", [](View) -> Task<Buffer> {
-    co_return bytes_of("x");
-  });
+  calc.register_method("Add",
+                       [](View, thrift::TMemoryBuffer& out) -> Task<void> {
+                         write_str(out, "x");
+                         co_return;
+                       });
   EXPECT_TRUE(server.dispatcher().has_method("Calc:Add"));
   EXPECT_FALSE(server.dispatcher().has_method("Add"));
   server.stop();

@@ -347,6 +347,35 @@ TEST(MemoryBuffer, WrapGivesReadAccess) {
   EXPECT_EQ(b.readable(), 0u);
 }
 
+TEST(MemoryBuffer, WrapAliasesItsSource) {
+  std::vector<std::byte> src(4096, std::byte{0x5a});
+  auto b = TMemoryBuffer::wrap(src);
+  EXPECT_EQ(b.view().data(), src.data());
+  EXPECT_EQ(b.view().size(), src.size());
+}
+
+TEST(MemoryBuffer, WriteAfterWrapLeavesTheSourceUnchanged) {
+  std::string s = "source";
+  const std::string before = s;
+  auto b = TMemoryBuffer::wrap(
+      {reinterpret_cast<const std::byte*>(s.data()), s.size()});
+  b.write("+more", 5);
+  EXPECT_EQ(s, before);
+  EXPECT_NE(b.view().data(), reinterpret_cast<const std::byte*>(s.data()));
+  EXPECT_EQ(b.read_string(11), "source+more");
+}
+
+TEST(MemoryBuffer, FieldStopAfterALargeStringDoesNotReallocate) {
+  TMemoryBuffer buf;
+  TBinaryProtocol p(buf);
+  p.writeFieldBegin(TType::kString, 1);
+  p.writeString(std::string(128 << 10, 'x'));
+  const std::byte* data = buf.view().data();
+  p.writeFieldStop();
+  EXPECT_EQ(buf.view().data(), data);
+  EXPECT_EQ(buf.view().size(), 3u + 4u + (128u << 10) + 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Hostile input: declared nesting and lengths come from the peer and must be
 // rejected with an exception, never a crash or an allocation they did not pay
@@ -409,10 +438,11 @@ size_t peak_rss_kb() {
   return static_cast<size_t>(ru.ru_maxrss);
 }
 
+/// A buffer that owns `bytes` (wrap() would alias a local that dies here).
 TMemoryBuffer wrap_bytes(std::initializer_list<uint8_t> bytes) {
-  std::vector<std::byte> v;
-  for (uint8_t b : bytes) v.push_back(std::byte{b});
-  return TMemoryBuffer::wrap(v);
+  TMemoryBuffer buf;
+  for (uint8_t b : bytes) buf.write(&b, 1);
+  return buf;
 }
 
 TEST(HostileInput, HugeDeclaredStringLengthThrowsWithoutAllocating) {

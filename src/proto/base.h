@@ -1,7 +1,7 @@
 // Shared scaffolding for protocol implementations: one connected Endpoint
 // per side (QP + send/recv CQs + polling discipline), MR accounting, copy
-// charging, and serve-loop lifecycle. Each protocol subclass implements
-// do_call() and serve().
+// charging, payload staging, and serve-loop lifecycle. Each protocol
+// subclass implements do_call() and serve().
 //
 // Software-copy charging policy (kept consistent across protocols so the
 // comparison is fair — see DESIGN.md):
@@ -12,8 +12,17 @@
 //   * server-bypass protocols (Pilaf/FaRM/RFP) charge the server-side copy
 //     of the response into the exported region the client READs from;
 //   * HERD's SEND response is eager-style and charged like eager.
+//
+// Staged vs zero-copy (ChannelConfig::zero_copy) is decided in two places
+// only: EagerPipe for everything sent over the eager rings, and the payload
+// helpers below for Direct, Rendezvous and Bypass. Staged mode posts every
+// payload from registered channel memory (one SGE, after a real memcpy);
+// zero-copy mode posts borrowed requests inline or as MrCache-registered
+// gathers and small owned responses inline. Protocol bodies are written
+// once and post whatever the helpers load into their WRs.
 #pragma once
 
+#include <cstring>
 #include <memory>
 
 #include "proto/channel.h"
@@ -163,13 +172,77 @@ class ChannelBase : public RpcChannel {
         cost_.copy_time(bytes, cfg_.server_numa_local));
   }
 
+  // ---- Payload staging ----------------------------------------------------
+
+  /// Copies `bytes` into registered channel memory at `dst`. Empty payloads
+  /// copy nothing (their data() may be null).
+  static void stage(std::byte* dst, View bytes) {
+    if (!bytes.empty()) std::memcpy(dst, bytes.data(), bytes.size());
+  }
+
+  /// Loads a borrowed request into `wr` as the frame [slot[0, hdr) | req];
+  /// the caller has already written the `hdr` header bytes at `slot`.
+  /// Staged mode copies `req` in behind them and posts one SGE from the
+  /// slot. Zero-copy mode gathers the frame from the slot header and the
+  /// caller's buffer: inline when it fits the doorbell, otherwise with `req`
+  /// registered through the client's MrCache. The caller keeps `req` valid
+  /// until the call resolves.
+  void load_request(verbs::SendWr& wr, std::byte* slot, uint32_t hdr,
+                    View req) {
+    const uint32_t len = static_cast<uint32_t>(req.size());
+    if (!cfg_.zero_copy) {
+      stage(slot + hdr, req);
+      wr.local = {slot, hdr + len};
+      return;
+    }
+    if (hdr > 0) wr.sg_list.push_back({slot, hdr});
+    if (len > 0)
+      wr.sg_list.push_back({const_cast<std::byte*>(req.data()), len});
+    wr.inline_data = hdr + len <= cep_.qp->max_inline_data();
+    if (!wr.inline_data && len > 0)
+      cl_.pd().mr_cache().get(req.data(), len, channel_counters());
+  }
+
+  /// Exposes a borrowed request for the server to READ: staged mode copies
+  /// it into `pool` and advertises that; zero-copy mode advertises the
+  /// caller's own buffer, registered through the client's MrCache.
+  verbs::RemoteAddr expose_request(View req, verbs::MemoryRegion* pool) {
+    if (!cfg_.zero_copy) {
+      stage(pool->data(), req);
+      return pool->remote(0);
+    }
+    verbs::MemoryRegion* mr =
+        cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
+    return {reinterpret_cast<uint64_t>(req.data()), mr->rkey()};
+  }
+
+  /// Loads an owned response into `wr`. Zero-copy mode posts a response
+  /// that fits the doorbell inline from the handler's Buffer (snapshotted
+  /// at post time, so the Buffer may die right after). Otherwise it is
+  /// staged into `slot`: the WQE reads its bytes when it executes, after
+  /// the handler's Buffer is gone.
+  void load_response(verbs::SendWr& wr, std::byte* slot, Buffer& resp) {
+    const uint32_t len = static_cast<uint32_t>(resp.size());
+    wr.inline_data = cfg_.zero_copy && len <= sep_.qp->max_inline_data();
+    if (wr.inline_data) {
+      wr.local = {resp.data(), len};
+      return;
+    }
+    stage(slot, resp);
+    wr.local = {slot, len};
+  }
+
+  /// Control frames (notifies, RTS/CTS/FIN) always fit the doorbell;
+  /// zero-copy mode posts them inline.
+  bool inline_ctrl() const { return cfg_.zero_copy; }
+
   // ---- Sliding-window scaffolding ---------------------------------------
   // Completions carry the originating call's window slot in the top byte of
   // the 32-bit imm (the low 24 bits keep the length), so a dispatcher can
   // route each completion to the right pending call().
   static constexpr uint32_t kSlotShift = 24;
   static constexpr uint32_t kLenMask = (1u << kSlotShift) - 1;
-  static constexpr uint32_t kMaxWindow = 256;
+  static constexpr uint32_t kMaxWindow = kMaxChannelWindow;
   static constexpr uint32_t slot_imm(uint32_t slot, uint32_t len) {
     return (slot << kSlotShift) | len;
   }

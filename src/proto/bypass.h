@@ -45,21 +45,7 @@ class BypassChannel : public ChannelBase {
     verbs::SendWr wr;
     wr.remote = srv_req_slot_->remote(0);
     wr.signaled = false;
-    if (cfg_.zero_copy) {
-      // Gather [header | payload] straight from the staged header slot and
-      // the caller's buffer — fully inline when the wire frame fits.
-      wr.sg_list.push_back({p, kReqHdr});
-      if (!req.empty())
-        wr.sg_list.push_back({const_cast<std::byte*>(req.data()),
-                              static_cast<uint32_t>(req.size())});
-      if (wire <= cep_.qp->max_inline_data())
-        wr.inline_data = true;
-      else if (!req.empty())
-        cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
-    } else {
-      std::memcpy(p + kReqHdr, req.data(), req.size());
-      wr.local = {p, wire};
-    }
+    load_request(wr, p, kReqHdr, req);
     if (event_server()) {
       ++stats_.write_imms;
       wr.opcode = verbs::Opcode::kWriteImm;
@@ -71,9 +57,9 @@ class BypassChannel : public ChannelBase {
     co_await cep_.qp->post_send(std::move(wr));
 
     if (kind_ == ProtocolKind::kHerd) {
-      auto resp = co_await resp_pipe_->recv();
-      if (!resp) throw_wc("herd recv", resp_pipe_->last_status());
-      co_return std::move(*resp);
+      auto m = co_await resp_pipe_->recv(/*allow_in_place=*/false);
+      if (!m) throw_wc("herd recv", resp_pipe_->last_status());
+      co_return std::move(m->owned);
     }
     co_return co_await fetch_response(seq, resp_size_hint);
   }
@@ -112,18 +98,14 @@ class BypassChannel : public ChannelBase {
         throw std::length_error("bypass protocol: response exceeds slot");
 
       if (kind_ == ProtocolKind::kHerd) {
-        if (cfg_.zero_copy) {
-          if (!co_await resp_pipe_->send_zc_owned(std::move(resp))) break;
-        } else {
-          if (!co_await resp_pipe_->send(resp)) break;
-        }
+        if (!co_await resp_pipe_->send_owned(std::move(resp))) break;
         continue;
       }
       // Place the response in the exported region (intrinsic server-side
       // copy — the client can only READ from registered export space).
       co_await charge_server_copy(resp.size());
       std::byte* e = srv_export_->data();
-      std::memcpy(e + kExportHdr, resp.data(), resp.size());
+      stage(e + kExportHdr, resp);
       // meta2 then meta1 (ready flag last, matching write ordering).
       put_u64(e + 16, served_);
       put_u32(e + 24, static_cast<uint32_t>(resp.size()));
@@ -339,19 +321,7 @@ class BypassChannel : public ChannelBase {
     verbs::SendWr wr;
     wr.remote = srv_req_slot_->remote(size_t(slot) * req_stride_);
     wr.signaled = false;
-    if (cfg_.zero_copy) {
-      wr.sg_list.push_back({p, kReqHdr});
-      if (!req.empty())
-        wr.sg_list.push_back({const_cast<std::byte*>(req.data()),
-                              static_cast<uint32_t>(req.size())});
-      if (wire <= cep_.qp->max_inline_data())
-        wr.inline_data = true;
-      else if (!req.empty())
-        cl_.pd().mr_cache().get(req.data(), req.size(), channel_counters());
-    } else {
-      std::memcpy(p + kReqHdr, req.data(), req.size());
-      wr.local = {p, wire};
-    }
+    load_request(wr, p, kReqHdr, req);
     if (event_server()) {
       ++stats_.write_imms;
       wr.opcode = verbs::Opcode::kWriteImm;
@@ -464,9 +434,10 @@ class BypassChannel : public ChannelBase {
   }
 
   /// HERD: routes slot-prefixed SEND responses to their pending calls.
+  /// HERD's client always assembles its response into an owned buffer.
   sim::Task<void> herd_dispatch() {
     for (;;) {
-      auto m = co_await resp_pipe_->recv();
+      auto m = co_await resp_pipe_->recv(/*allow_in_place=*/false);
       if (!m) {
         mark_dead(resp_pipe_->last_status());
         for (auto& p : pending_)
@@ -476,10 +447,11 @@ class BypassChannel : public ChannelBase {
           }
         co_return;
       }
-      uint32_t slot = get_u32(m->data());
+      const Buffer& b = m->owned;
+      uint32_t slot = get_u32(b.data());
       if (slot < pending_.size()) {
         if (auto& p = pending_[slot]) {
-          p->resp.assign(m->begin() + 4, m->end());
+          p->resp.assign(b.begin() + 4, b.end());
           p->status = verbs::WcStatus::kSuccess;
           p->done.set();
         }
@@ -531,24 +503,13 @@ class BypassChannel : public ChannelBase {
     if (resp.size() > cfg_.max_msg)
       throw std::length_error("bypass protocol: response exceeds slot");
     if (kind_ == ProtocolKind::kHerd) {
-      if (cfg_.zero_copy) {
-        // The slot tag rides the gathered wire header; the response Buffer's
-        // ownership rides the WQE.
-        auto guard = co_await srv_send_mu_.scoped();
-        co_await resp_pipe_->send_zc_owned(std::move(resp), &slot);
-        co_return;
-      }
-      Buffer framed(4 + resp.size());
-      put_u32(framed.data(), slot);
-      if (!resp.empty())
-        std::memcpy(framed.data() + 4, resp.data(), resp.size());
       auto guard = co_await srv_send_mu_.scoped();
-      co_await resp_pipe_->send(framed);
+      co_await resp_pipe_->send_owned(std::move(resp), &slot);
       co_return;
     }
     co_await charge_server_copy(resp.size());
     std::byte* e = srv_export_->data() + size_t(slot) * exp_stride_;
-    std::memcpy(e + kExportHdr, resp.data(), resp.size());
+    stage(e + kExportHdr, resp);
     put_u64(e + 16, seq);
     put_u32(e + 24, static_cast<uint32_t>(resp.size()));
     put_u64(e, seq);

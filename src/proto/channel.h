@@ -61,6 +61,10 @@ enum class ProtocolKind : uint8_t {
 
 std::string_view to_string(ProtocolKind k);
 
+/// Most calls one channel keeps in flight: completions carry the window
+/// slot in the top byte of the 32-bit imm.
+inline constexpr uint32_t kMaxChannelWindow = 256;
+
 struct ChannelConfig {
   sim::PollMode client_poll = sim::PollMode::kBusy;
   sim::PollMode server_poll = sim::PollMode::kBusy;
@@ -104,8 +108,8 @@ struct ChannelConfig {
   /// Zero-copy send path: payloads go out inline (≤ max_inline_data) or as
   /// gather SGE lists straight from the caller's buffer (registered on
   /// demand through the PD's MrCache) instead of being staged through slot
-  /// copies. Off by default: the legacy staging path stays bit-identical
-  /// for trace/counter regression oracles.
+  /// copies. Off by default: staged is the paper-faithful figure, and both
+  /// modes are reported. Only EagerPipe and ChannelBase read it.
   bool zero_copy = false;
 
   // Chainable named setters, so configurations read as a sentence:

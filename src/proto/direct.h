@@ -46,23 +46,10 @@ class DirectChannel : public ChannelBase {
     auto pend = sim::pooled_shared<PendingCall>(sim_);
     pending_[slot] = pend;
     const size_t off = slot * size_t(cfg_.max_msg);
-    const uint32_t len = static_cast<uint32_t>(req.size());
-    if (cfg_.zero_copy) {
-      // Zero-copy: the WRITE gathers straight from the caller's buffer
-      // (valid until the response resolves), inline when it fits the
-      // doorbell, registered on demand through the MrCache otherwise.
-      const bool inl = len <= cep_.qp->max_inline_data();
-      if (!inl && len > 0)
-        cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-      co_await push(cep_.qp, const_cast<std::byte*>(req.data()),
-                    srv_req_buf_->remote(off), len, slot, cli_notify_src_,
-                    inl);
-    } else {
-      std::byte* src = cli_req_src_->data() + off;
-      if (len > 0) std::memcpy(src, req.data(), len);
-      co_await push(cep_.qp, src, srv_req_buf_->remote(off), len, slot,
-                    cli_notify_src_);
-    }
+    verbs::SendWr wr;
+    load_request(wr, cli_req_src_->data() + off, 0, req);
+    co_await push(cep_.qp, wr, srv_req_buf_->remote(off), slot,
+                  cli_notify_src_);
     co_await pend->done.wait();
     pending_[slot].reset();
     if (pend->status != verbs::WcStatus::kSuccess) {
@@ -166,63 +153,48 @@ class DirectChannel : public ChannelBase {
     if (resp.size() > cfg_.max_msg)
       throw std::length_error("direct protocol: response exceeds the "
                               "pre-known buffer");
-    const uint32_t rlen = static_cast<uint32_t>(resp.size());
-    if (cfg_.zero_copy && rlen <= sep_.qp->max_inline_data()) {
-      // Small response rides the doorbell (snapshotted at post time, so the
-      // handler's Buffer may die immediately after) — no staging copy.
-      co_await push(sep_.qp, resp.data(), cli_resp_buf_->remote(off), rlen,
-                    slot, srv_notify_src_, true);
-    } else {
-      // Large responses keep the staged path: the WQE reads the payload at
-      // execution time, after this task's Buffer is gone.
-      if (rlen > 0)
-        std::memcpy(srv_resp_src_->data() + off, resp.data(), rlen);
-      co_await push(sep_.qp, srv_resp_src_->data() + off,
-                    cli_resp_buf_->remote(off), rlen, slot, srv_notify_src_);
-    }
+    verbs::SendWr wr;
+    load_response(wr, srv_resp_src_->data() + off, resp);
+    co_await push(sep_.qp, wr, cli_resp_buf_->remote(off), slot,
+                  srv_notify_src_);
   }
 
-  /// Delivers `len` bytes from `src` into the peer's pre-known buffer slot
-  /// using the variant's doorbell/notify scheme. `inl` posts the payload
-  /// WRITE inline (zero-copy path, len pre-checked against max_inline_data).
-  sim::Task<void> push(verbs::QueuePair* qp, std::byte* src,
-                       verbs::RemoteAddr dst, uint32_t len, uint32_t slot,
-                       verbs::MemoryRegion* notify_region, bool inl = false) {
+  /// Delivers the payload loaded into `wr` (load_request/load_response)
+  /// into the peer's pre-known buffer slot at `dst`, using the variant's
+  /// doorbell/notify scheme.
+  sim::Task<void> push(verbs::QueuePair* qp, verbs::SendWr& wr,
+                       verbs::RemoteAddr dst, uint32_t slot,
+                       verbs::MemoryRegion* notify_region) {
+    const uint32_t len = static_cast<uint32_t>(wr.total_bytes());
+    wr.remote = dst;
+    wr.signaled = false;
     switch (kind_) {
       case ProtocolKind::kDirectWriteImm: {
         ++stats_.write_imms;
-        co_await qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kWriteImm,
-                                             .local = {src, len},
-                                             .remote = dst,
-                                             .imm = slot_imm(slot, len),
-                                             .signaled = false,
-                                             .inline_data = inl});
+        wr.opcode = verbs::Opcode::kWriteImm;
+        wr.imm = slot_imm(slot, len);
+        co_await qp->post_send(std::move(wr));
         break;
       }
       case ProtocolKind::kDirectWriteSend:
       case ProtocolKind::kChainedWriteSend: {
         ++stats_.writes;
         ++stats_.sends;
+        wr.opcode = verbs::Opcode::kWrite;
         std::byte* n = notify_region->data() + size_t(slot) * kNotifyBytes;
         put_u32(n, len);
         put_u32(n + 4, slot);
-        verbs::SendWr write{.opcode = verbs::Opcode::kWrite,
-                            .local = {src, len},
-                            .remote = dst,
-                            .signaled = false,
-                            .inline_data = inl};
         verbs::SendWr notify{.opcode = verbs::Opcode::kSend,
                              .local = {n, 8},
                              .signaled = false,
-                             // The 8-byte notify always fits the doorbell.
-                             .inline_data = cfg_.zero_copy};
+                             .inline_data = inline_ctrl()};
         if (kind_ == ProtocolKind::kChainedWriteSend) {
           std::vector<verbs::SendWr> chain;
-          chain.push_back(write);
+          chain.push_back(std::move(wr));
           chain.push_back(notify);
           co_await qp->post_send_chain(std::move(chain));
         } else {
-          co_await qp->post_send(write);
+          co_await qp->post_send(std::move(wr));
           co_await qp->post_send(notify);
         }
         break;

@@ -5,6 +5,12 @@
 // small-message protocol. Used by Eager-SendRecv (both directions), the
 // hybrid baselines (below-threshold path), and HERD (response direction).
 //
+// The pipe owns the staged-vs-zero-copy choice for everything it carries
+// (ChannelConfig::zero_copy; ChannelBase owns it for the other protocols):
+// one send() loop and one recv() serve both modes, so the channels built on
+// it write each body once. Zero-copy mode drops the sender's staging copy
+// (gather or inline) and consumes single-segment messages in place.
+//
 // Each side is an Endpoint: the pipe stages into a ring on src's node and
 // assembles from a ring on dst's node, polling each side's CQs with that
 // side's configured discipline.
@@ -30,7 +36,7 @@ class EagerPipe {
       : src_(src), dst_(dst), cfg_(cfg), stats_(stats), chan_(chan),
         cost_(src.node->fabric().cost()),
         rc_sim_(&src.node->fabric().simulator()),
-        zc_leased_(cfg.eager_slots, false) {
+        leased_(cfg.eager_slots, false) {
     send_ring_ = src_.node->pd().alloc_mr(ring_bytes());
     recv_ring_ = dst_.node->pd().alloc_mr(ring_bytes());
     // Zero-copy sends still need a registered scratch ring for the tiny
@@ -50,25 +56,57 @@ class EagerPipe {
     return static_cast<size_t>(cfg_.eager_slot) * cfg_.eager_slots;
   }
 
-  /// Sends one (possibly segmented) message. Multiple whole messages may be
-  /// in flight back-to-back (windowed callers serialize send() itself); the
-  /// staging cursor therefore persists across messages, and slot reuse is
-  /// gated on send completions (polled with the sender's discipline) so a
-  /// new message never overwrites a slot whose send is still outstanding.
-  /// Returns false (with last_status() set) if a send completes in error.
-  sim::Task<bool> send(View msg) {
+  /// One received message: an in-place view into the recv ring (zero-copy
+  /// mode, single segment — the consumer must release(slot) when done so the
+  /// slot can be reposted) or an owned, assembled buffer.
+  struct Msg {
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+    Buffer owned;
+    View view{};
+    uint32_t slot = kNoSlot;
+    bool in_place() const { return slot != kNoSlot; }
+    View bytes() const { return in_place() ? view : View(owned); }
+  };
+
+  /// Sends one (possibly segmented) message. The wire image is the same in
+  /// both modes: the first segment carries [u32 total][u32 slot_prefix?]
+  /// ahead of its payload slice (total counts the prefix), later segments
+  /// carry raw slices. Staged mode copies each segment into its ring slot
+  /// and pays the copy charge; zero-copy mode posts [header | slice] gathers
+  /// straight from `msg` (registered through the sender's MrCache), or one
+  /// inline WQE when a one-segment frame fits the doorbell. Either way the
+  /// eager bookkeeping CPU is charged per segment.
+  ///
+  /// A zero-copy gather reads `msg` when the WQE executes: the caller keeps
+  /// it valid until then, or hands its ownership over in `keep`, which
+  /// rides every gathered WQE (see send_owned).
+  ///
+  /// Multiple whole messages may be in flight back-to-back (windowed callers
+  /// serialize send() itself); the slot cursor therefore persists across
+  /// messages, and slot reuse is gated on send completions (polled with the
+  /// sender's discipline) so a new message never overwrites a slot whose
+  /// send is still outstanding. Returns false (with last_status() set) if a
+  /// send completes in error.
+  sim::Task<bool> send(View msg, const uint32_t* slot_prefix = nullptr,
+                       std::shared_ptr<const void> keep = {}) {
     const uint32_t slot = cfg_.eager_slot;
     const uint32_t nslots = cfg_.eager_slots;
-    size_t off = 0;
-    bool first = true;
+    const uint32_t pfx = slot_prefix ? 4u : 0u;
+    const uint32_t total = static_cast<uint32_t>(msg.size()) + pfx;
+    const bool zc = cfg_.zero_copy;
+    const bool inl = zc && 4 + total <= slot &&
+                     4 + total <= src_.qp->max_inline_data();
+    if (zc && !inl && !msg.empty())
+      src_.node->pd().mr_cache().get(msg.data(), msg.size(), chan_);
     // Lazily reclaim completions from previous messages (no charge when
     // they are already visible — ibv_poll_cq batch semantics).
     while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
+    size_t off = 0;
+    bool first = true;
     while (first || off < msg.size()) {
-      uint32_t idx = cursor_ % nslots;
-      std::byte* s = send_ring_->data() + static_cast<size_t>(idx) * slot;
-      uint32_t hdr = first ? 4u : 0u;
-      uint32_t take = static_cast<uint32_t>(
+      const uint32_t idx = cursor_ % nslots;
+      const uint32_t hdr = first ? 4u + pfx : 0u;
+      const uint32_t take = static_cast<uint32_t>(
           std::min<size_t>(slot - hdr, msg.size() - off));
       // Slot reuse: the ring is full, wait for the oldest send to complete.
       while (outstanding_ >= nslots) {
@@ -79,17 +117,37 @@ class EagerPipe {
         }
         --outstanding_;
       }
-      charge_copy(*src_.node, take);
-      co_await src_.node->cpu().compute(
-          cost_.eager_match_cpu +
-          cost_.copy_time(take, src_.qp->numa_local));
-      if (first) put_u32(s, static_cast<uint32_t>(msg.size()));
-      if (take > 0) std::memcpy(s + hdr, msg.data() + off, take);
-      co_await src_.qp->post_send(verbs::SendWr{
-          .wr_id = idx,
-          .opcode = verbs::Opcode::kSend,
-          .local = {s, hdr + take},
-          .signaled = true});
+      verbs::SendWr wr;  // a signaled SEND
+      wr.wr_id = idx;
+      if (zc) {
+        co_await src_.node->cpu().compute(cost_.eager_match_cpu);
+        if (hdr > 0) {
+          std::byte* h =
+              zc_hdr_->data() + static_cast<size_t>(idx) * kZcHdrBytes;
+          put_header(h, total, slot_prefix);
+          wr.sg_list.push_back({h, hdr});
+        }
+        if (take > 0)
+          wr.sg_list.push_back(
+              {const_cast<std::byte*>(msg.data() + off), take});
+        // An inline payload is snapshotted at post time; a gather keeps
+        // the caller's bytes alive until the WQE has executed.
+        wr.inline_data = inl;
+        if (!inl) wr.keep_alive = keep;
+      } else {
+        // The slot prefix is staged with the first slice, so it is charged
+        // as part of the copy.
+        const uint32_t staged = (first ? pfx : 0u) + take;
+        std::byte* s = send_ring_->data() + static_cast<size_t>(idx) * slot;
+        charge_copy(*src_.node, staged);
+        co_await src_.node->cpu().compute(
+            cost_.eager_match_cpu +
+            cost_.copy_time(staged, src_.qp->numa_local));
+        if (first) put_header(s, total, slot_prefix);
+        if (take > 0) std::memcpy(s + hdr, msg.data() + off, take);
+        wr.local = {s, hdr + take};
+      }
+      co_await src_.qp->post_send(std::move(wr));
       ++stats_->sends;
       ++outstanding_;
       off += take;
@@ -99,81 +157,44 @@ class EagerPipe {
     co_return true;
   }
 
-  /// Receives one message; nullopt when the CQ is closed (shutdown).
-  sim::Task<std::optional<Buffer>> recv() {
-    verbs::Wc wc = co_await dst_.recv_wc();
-    if (!wc.ok()) {
-      last_status_ = wc.status;
-      co_return std::nullopt;
-    }
-    co_return co_await assemble(wc);
-  }
-
-  // ---- Zero-copy path ----------------------------------------------------
-
-  /// What recv_zc() hands back: either an in-place view into the recv ring
-  /// (single-segment message — the consumer must release(slot) when done so
-  /// the slot can be reposted) or an owned buffer (multi-segment messages
-  /// fall back to the staged assembly).
-  struct ZcMsg {
-    static constexpr uint32_t kNoSlot = UINT32_MAX;
-    Buffer owned;
-    View view{};
-    uint32_t slot = kNoSlot;
-    bool in_place() const { return slot != kNoSlot; }
-    View bytes() const { return in_place() ? view : View(owned); }
-  };
-
-  /// Zero-copy send of a BORROWED payload: the caller guarantees `msg`
-  /// stays valid until the send's WQE has executed (a client holding its
-  /// request across the call does). Small messages go out inline; larger
-  /// single-slot messages gather [header | payload] straight from the user
-  /// buffer (registered through the sender node's MrCache). Messages that
-  /// do not fit one slot fall back to the staged multi-segment path.
-  /// `slot_prefix`, when set, is framed ahead of the payload exactly like
-  /// the windowed staging path's 4-byte prefix.
-  sim::Task<bool> send_zc(View msg, const uint32_t* slot_prefix = nullptr) {
-    co_return co_await send_zc_impl(msg, slot_prefix, nullptr);
-  }
-
-  /// Zero-copy send of an OWNED payload (server responses whose Buffer dies
-  /// when the serve task returns): ownership moves into the WQE's
-  /// keep_alive, so the bytes outlive the caller without a staging copy.
-  sim::Task<bool> send_zc_owned(Buffer&& msg,
-                                const uint32_t* slot_prefix = nullptr) {
+  /// Sends a message the caller gives up (a server's response, whose Buffer
+  /// dies when its serve task returns): its ownership rides the WQEs, so
+  /// zero-copy mode gathers from it without a staging copy.
+  sim::Task<bool> send_owned(Buffer msg,
+                             const uint32_t* slot_prefix = nullptr) {
     auto keep = std::make_shared<const Buffer>(std::move(msg));
-    co_return co_await send_zc_impl(View(*keep), slot_prefix, keep);
+    co_return co_await send(View(*keep), slot_prefix, keep);
   }
 
-  /// Receives one message without the staging copy where possible.
-  sim::Task<std::optional<ZcMsg>> recv_zc() {
+  /// Receives one message; nullopt when the CQ is closed (shutdown). In
+  /// zero-copy mode a single-segment message is handed out in place when
+  /// `allow_in_place` is set: message matching is still bookkeeping work,
+  /// but the payload is consumed from the ring with no assembly copy.
+  /// Otherwise — staged mode always — the message is assembled into an
+  /// owned buffer and its slots are reposted as they are drained.
+  sim::Task<std::optional<Msg>> recv(bool allow_in_place = true) {
     verbs::Wc wc = co_await dst_.recv_wc();
     if (!wc.ok()) {
       last_status_ = wc.status;
       co_return std::nullopt;
     }
-    uint32_t idx = static_cast<uint32_t>(wc.wr_id);
+    const uint32_t idx = static_cast<uint32_t>(wc.wr_id);
     const std::byte* s =
         recv_ring_->data() + static_cast<size_t>(idx) * cfg_.eager_slot;
-    const size_t total = get_u32(s);
-    if (total + 4 == wc.byte_len) {
-      // Single segment: message matching is still bookkeeping work, but the
-      // payload is consumed in place — no assembly copy.
+    Msg m;
+    if (cfg_.zero_copy && allow_in_place && get_u32(s) + 4 == wc.byte_len) {
       co_await dst_.node->cpu().compute(cost_.eager_match_cpu);
-      zc_leased_[idx] = true;
+      leased_[idx] = true;
       // The slot begins a leased lifetime owned by the consumer; the view
       // read below conflicts with anything that reposts the slot early.
       rc_sim_->rc_revive(this, idx);
       rc_sim_->rc_read(this, idx, "EagerPipe.recv_slot", RC_HERE);
-      ZcMsg m;
-      m.view = View{s + 4, total};
+      m.view = View{s + 4, get_u32(s)};
       m.slot = idx;
       co_return m;
     }
-    // Multi-segment: assemble through the staged path (charged as usual).
     auto out = co_await assemble(wc);
     if (!out) co_return std::nullopt;
-    ZcMsg m;
     m.owned = std::move(*out);
     co_return m;
   }
@@ -184,12 +205,12 @@ class EagerPipe {
   /// the slot in the recv queue twice and let two future messages land in
   /// the same bytes — and a RaceCheck lifetime diagnostic.
   void release(uint32_t slot) {
-    if (slot >= zc_leased_.size() || !zc_leased_[slot]) {
+    if (slot >= leased_.size() || !leased_[slot]) {
       rc_sim_->rc_lifetime(this, slot, "EagerPipe.recv_slot", RC_HERE,
                            "release of a recv slot that is not leased");
       return;
     }
-    zc_leased_[slot] = false;
+    leased_[slot] = false;
     rc_sim_->rc_retire(this, slot, "EagerPipe.recv_slot", RC_HERE);
     post_recv_slot(slot);
   }
@@ -198,9 +219,9 @@ class EagerPipe {
   verbs::WcStatus last_status() const { return last_status_; }
 
  private:
-  // Staged multi-segment assembly — the legacy recv() body, with the first
-  // (already polled, successful) completion handed in. Charges the eager
-  // bookkeeping CPU and an assembly copy per segment, exactly as before.
+  // Assembly into an owned buffer, with the first (already polled,
+  // successful) completion handed in. Charges the eager bookkeeping CPU and
+  // an assembly copy per segment, and reposts each slot once drained.
   sim::Task<std::optional<Buffer>> assemble(verbs::Wc wc) {
     Buffer out;
     size_t total = 0;
@@ -242,116 +263,10 @@ class EagerPipe {
     co_return out;
   }
 
-  sim::Task<bool> send_zc_impl(View msg, const uint32_t* slot_prefix,
-                               std::shared_ptr<const void> keep) {
-    const uint32_t hdr = slot_prefix ? kZcHdrBytes : 4u;
-    const uint32_t total =
-        static_cast<uint32_t>(msg.size()) + (slot_prefix ? 4u : 0u);
-    const uint32_t wire = hdr + static_cast<uint32_t>(msg.size());
-    if (wire > cfg_.eager_slot) {
-      // Does not fit one slot: segment with per-slot gather SGEs straight
-      // from the user buffer (no staging copy — this copy used to dominate
-      // the fig05 profile for multi-slot messages).
-      co_return co_await send_zc_segmented(msg, slot_prefix, std::move(keep));
-    }
-    const uint32_t nslots = cfg_.eager_slots;
-    while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
-    while (outstanding_ >= nslots) {
-      verbs::Wc wc = co_await src_.send_wc();
-      if (!wc.ok()) {
-        last_status_ = wc.status;
-        co_return false;
-      }
-      --outstanding_;
-    }
-    const uint32_t idx = cursor_ % nslots;
-    std::byte* h = zc_hdr_->data() + static_cast<size_t>(idx) * kZcHdrBytes;
+  static void put_header(std::byte* h, uint32_t total,
+                         const uint32_t* slot_prefix) {
     put_u32(h, total);
     if (slot_prefix) put_u32(h + 4, *slot_prefix);
-    // Matching bookkeeping only — no staging copy on the zero-copy path.
-    co_await src_.node->cpu().compute(cost_.eager_match_cpu);
-    verbs::SendWr wr{.wr_id = idx,
-                     .opcode = verbs::Opcode::kSend,
-                     .signaled = true};
-    wr.sg_list.push_back({h, hdr});
-    if (!msg.empty())
-      wr.sg_list.push_back(
-          {const_cast<std::byte*>(msg.data()),
-           static_cast<uint32_t>(msg.size())});
-    if (wire <= src_.qp->max_inline_data()) {
-      // Small message: the payload rides the doorbell (prepare_send
-      // snapshots it into the WQE, so no lifetime obligation remains).
-      wr.inline_data = true;
-    } else if (!msg.empty()) {
-      // Gather straight from the user buffer; register on demand.
-      src_.node->pd().mr_cache().get(msg.data(), msg.size(), chan_);
-      wr.keep_alive = std::move(keep);
-    }
-    co_await src_.qp->post_send(std::move(wr));
-    ++stats_->sends;
-    ++outstanding_;
-    ++cursor_;
-    co_return true;
-  }
-
-  // Multi-slot zero-copy send. The wire image is byte-identical to the
-  // staged path — first segment [u32 total][u32 slot?][payload slice],
-  // later segments raw payload slices, same per-segment byte_len — so the
-  // receiver's assemble() is oblivious; only the sender-side staging copy
-  // (and its copy_time compute) disappears. Each segment gathers [header |
-  // payload slice]: the header rides the per-slot zc scratch ring (slot
-  // reuse is gated on send completions exactly like the staged ring), the
-  // payload slice comes from the user buffer registered once up front. For
-  // owned payloads every segment's WQE shares the keep_alive, so the bytes
-  // live until the last segment executes.
-  sim::Task<bool> send_zc_segmented(View msg, const uint32_t* slot_prefix,
-                                    std::shared_ptr<const void> keep) {
-    const uint32_t slot = cfg_.eager_slot;
-    const uint32_t nslots = cfg_.eager_slots;
-    const uint32_t pfx = slot_prefix ? 4u : 0u;
-    const uint32_t total = static_cast<uint32_t>(msg.size()) + pfx;
-    size_t off = 0;
-    bool first = true;
-    while (outstanding_ > 0 && src_.scq->try_poll()) --outstanding_;
-    if (!msg.empty())
-      src_.node->pd().mr_cache().get(msg.data(), msg.size(), chan_);
-    while (first || off < msg.size()) {
-      const uint32_t idx = cursor_ % nslots;
-      const uint32_t hdr = first ? 4u + pfx : 0u;
-      const uint32_t take = static_cast<uint32_t>(
-          std::min<size_t>(slot - hdr, msg.size() - off));
-      while (outstanding_ >= nslots) {
-        verbs::Wc wc = co_await src_.send_wc();
-        if (!wc.ok()) {
-          last_status_ = wc.status;
-          co_return false;
-        }
-        --outstanding_;
-      }
-      // Matching bookkeeping only — no staging copy on the zero-copy path.
-      co_await src_.node->cpu().compute(cost_.eager_match_cpu);
-      verbs::SendWr wr{.wr_id = idx,
-                       .opcode = verbs::Opcode::kSend,
-                       .signaled = true};
-      if (hdr > 0) {
-        std::byte* h =
-            zc_hdr_->data() + static_cast<size_t>(idx) * kZcHdrBytes;
-        put_u32(h, total);
-        if (slot_prefix) put_u32(h + 4, *slot_prefix);
-        wr.sg_list.push_back({h, hdr});
-      }
-      if (take > 0)
-        wr.sg_list.push_back(
-            {const_cast<std::byte*>(msg.data() + off), take});
-      if (keep) wr.keep_alive = keep;
-      co_await src_.qp->post_send(std::move(wr));
-      ++stats_->sends;
-      ++outstanding_;
-      off += take;
-      ++cursor_;
-      first = false;
-    }
-    co_return true;
   }
 
   void charge_copy(verbs::Node& node, uint64_t bytes) {
@@ -379,7 +294,7 @@ class EagerPipe {
   verbs::MemoryRegion* recv_ring_;
   verbs::MemoryRegion* zc_hdr_ = nullptr;
   sim::Simulator* rc_sim_;
-  std::vector<bool> zc_leased_;  // in-place recv slots awaiting release()
+  std::vector<bool> leased_;  // in-place recv slots awaiting release()
   uint32_t outstanding_ = 0;
   uint32_t cursor_ = 0;  // staging slot cursor, persistent across messages
   verbs::WcStatus last_status_ = verbs::WcStatus::kSuccess;

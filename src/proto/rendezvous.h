@@ -26,10 +26,6 @@ class RendezvousChannel : public ChannelBase {
     if (req.size() > cfg_.max_msg)
       throw std::length_error("rendezvous: request exceeds payload pool");
     if (cfg_.window > 1) co_return co_await do_call_w(req);
-    // Zero-copy mode sources the request straight from the caller's buffer
-    // (valid until the response resolves) instead of the payload pool.
-    if (!cfg_.zero_copy)
-      std::memcpy(cli_payload_->data(), req.data(), req.size());
     const uint32_t len = static_cast<uint32_t>(req.size());
 
     if (kind_ == ProtocolKind::kWriteRndv) {
@@ -37,20 +33,13 @@ class RendezvousChannel : public ChannelBase {
       co_await send_ctrl(cep_, cli_ctrl_src_, kRts, len, {});
       Ctrl cts = co_await recv_ctrl(cep_, cli_ctrl_ring_);
       ++stats_.write_imms;
-      std::byte* src = cli_payload_->data();
-      const bool inl = cfg_.zero_copy && len <= cep_.qp->max_inline_data();
-      if (cfg_.zero_copy) {
-        src = const_cast<std::byte*>(req.data());
-        if (!inl && len > 0)
-          cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-      }
-      co_await cep_.qp->post_send(verbs::SendWr{
-          .opcode = verbs::Opcode::kWriteImm,
-          .local = {src, len},
-          .remote = cts.addr,
-          .imm = len,
-          .signaled = false,
-          .inline_data = inl});
+      verbs::SendWr wr;
+      wr.opcode = verbs::Opcode::kWriteImm;
+      wr.remote = cts.addr;
+      wr.imm = len;
+      wr.signaled = false;
+      load_request(wr, cli_payload_->data(), 0, req);
+      co_await cep_.qp->post_send(std::move(wr));
       // Response (reverse Write-RNDV): RTS' -> we reply CTS -> recv-imm.
       Ctrl rts = co_await recv_ctrl(cep_, cli_ctrl_ring_);
       co_await send_ctrl(cep_, cli_ctrl_src_, kCts, rts.len,
@@ -62,20 +51,9 @@ class RendezvousChannel : public ChannelBase {
       co_return Buffer(p, p + wc.imm);
     }
 
-    // Read-RNDV: RTS carries our buffer; the server READs the request. In
-    // zero-copy mode that buffer is the caller's own (registered on demand
-    // through the MrCache), so the READ pulls user memory directly.
-    if (cfg_.zero_copy) {
-      verbs::MemoryRegion* mr =
-          cl_.pd().mr_cache().get(req.data(), len, channel_counters());
-      co_await send_ctrl(
-          cep_, cli_ctrl_src_, kRts, len,
-          verbs::RemoteAddr{reinterpret_cast<uint64_t>(req.data()),
-                            mr->rkey()});
-    } else {
-      co_await send_ctrl(cep_, cli_ctrl_src_, kRts, len,
-                         cli_payload_->remote(0));
-    }
+    // Read-RNDV: RTS carries the buffer the server READs the request from.
+    co_await send_ctrl(cep_, cli_ctrl_src_, kRts, len,
+                       expose_request(req, cli_payload_));
     // Server processes, then announces its response buffer.
     Ctrl rts = co_await recv_ctrl(cep_, cli_ctrl_ring_);
     ++stats_.reads;
@@ -130,29 +108,21 @@ class RendezvousChannel : public ChannelBase {
       if (resp.size() > cfg_.max_msg)
         throw std::length_error("rendezvous: response exceeds payload pool");
       const uint32_t rlen = static_cast<uint32_t>(resp.size());
-      // Small Write-RNDV responses go out inline straight from the
-      // handler's Buffer (snapshotted at post time); everything else is
-      // staged because the WQE reads the payload after `resp` is gone
-      // (Write-RNDV large) or the client READs it later (Read-RNDV).
-      const bool zc_inl = cfg_.zero_copy &&
-                          kind_ == ProtocolKind::kWriteRndv &&
-                          rlen <= sep_.qp->max_inline_data();
-      if (!zc_inl)
-        std::memcpy(srv_resp_src_->data(), resp.data(), resp.size());
-
       if (kind_ == ProtocolKind::kWriteRndv) {
+        verbs::SendWr wr;
+        wr.opcode = verbs::Opcode::kWriteImm;
+        wr.imm = rlen;
+        wr.signaled = false;
+        load_response(wr, srv_resp_src_->data(), resp);
         co_await send_ctrl(sep_, srv_ctrl_src_, kRts, rlen, {});
         Ctrl cts = co_await recv_ctrl(sep_, srv_ctrl_ring_, /*eof_ok=*/true);
         if (stop_ || cts.type != kCts) break;
         ++stats_.write_imms;
-        co_await sep_.qp->post_send(verbs::SendWr{
-            .opcode = verbs::Opcode::kWriteImm,
-            .local = {zc_inl ? resp.data() : srv_resp_src_->data(), rlen},
-            .remote = cts.addr,
-            .imm = rlen,
-            .signaled = false,
-            .inline_data = zc_inl});
+        wr.remote = cts.addr;
+        co_await sep_.qp->post_send(std::move(wr));
       } else {
+        // The client READs the response later, from the staged copy.
+        stage(srv_resp_src_->data(), resp);
         co_await send_ctrl(sep_, srv_ctrl_src_, kRts, rlen,
                            srv_resp_src_->remote(0));
         // Wait FIN before reusing the response buffer.
@@ -250,8 +220,7 @@ class RendezvousChannel : public ChannelBase {
     co_await ep.qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
                                             .local = {p, 20},
                                             .signaled = false,
-                                            // 20B always fits the doorbell
-                                            .inline_data = cfg_.zero_copy});
+                                            .inline_data = inline_ctrl()});
   }
 
   sim::Task<Ctrl> recv_ctrl(verbs::Endpoint& ep, verbs::MemoryRegion* ring,
@@ -286,8 +255,7 @@ class RendezvousChannel : public ChannelBase {
     co_await ep.qp->post_send(verbs::SendWr{.opcode = verbs::Opcode::kSend,
                                             .local = {p, 24},
                                             .signaled = false,
-                                            // 24B always fits the doorbell
-                                            .inline_data = cfg_.zero_copy});
+                                            .inline_data = inline_ctrl()});
   }
 
   sim::Task<void> recv_dispatch(verbs::Endpoint& ep,
@@ -374,7 +342,7 @@ class RendezvousChannel : public ChannelBase {
   sim::Task<Buffer> run_call_w(uint32_t slot, View req) {
     const size_t off = slot * size_t(cfg_.max_msg);
     const uint32_t len = static_cast<uint32_t>(req.size());
-    std::memcpy(cli_payload_->data() + off, req.data(), req.size());
+    stage(cli_payload_->data() + off, req);
 
     if (kind_ == ProtocolKind::kWriteRndv) {
       co_await send_ctrl_w(cep_, cli_ctrl_src_, kRts, len, {}, slot);
@@ -440,7 +408,7 @@ class RendezvousChannel : public ChannelBase {
           co_await run_handler(View{srv_payload_->data() + off, req_len});
       if (resp.size() > cfg_.max_msg)
         throw std::length_error("rendezvous: response exceeds payload pool");
-      std::memcpy(srv_resp_src_->data() + off, resp.data(), resp.size());
+      stage(srv_resp_src_->data() + off, resp);
       const uint32_t rlen = static_cast<uint32_t>(resp.size());
 
       if (kind_ == ProtocolKind::kWriteRndv) {

@@ -6,6 +6,7 @@
 // the connection "handshake" (channel creation = QP/MR setup + exchange).
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -305,30 +306,89 @@ class TRdmaTransport {
   size_t connections() const { return endpoints_.size(); }
 
  private:
+  /// Wire size of a ConnectRequest: kind, client id, max_msg, eager_slots,
+  /// window, and the client-poll, server-poll and zero-copy flags.
+  static constexpr uint32_t kConnectRequestBytes = 1 + 4 * 4 + 3;
+  /// Largest registered buffer a peer may have the server size: 16 MiB,
+  /// the bound Direct and rendezvous put on max_msg through their 24-bit
+  /// length fields, applied to every window-slot ring and eager ring.
+  static constexpr uint64_t kMaxBufferBytes = 16u << 20;
+
+  struct ConnectRequest {
+    proto::ProtocolKind kind{};
+    verbs::Node* client = nullptr;
+    proto::ChannelConfig cfg;
+  };
+
+  /// Decodes a peer's ConnectRequest, validating every field before any
+  /// verbs resource is sized from it; nullopt rejects the request.
+  std::optional<ConnectRequest> parse_connect(const Buffer& req) {
+    if (req.size() != kConnectRequestBytes) return std::nullopt;
+    TMemoryBuffer rb = TMemoryBuffer::wrap(req);
+    TBinaryProtocol rp(rb);
+    const auto kind = static_cast<uint8_t>(rp.readByte());
+    const auto client_id = static_cast<uint32_t>(rp.readI32());
+    const auto max_msg = static_cast<uint32_t>(rp.readI32());
+    const auto eager_slots = static_cast<uint32_t>(rp.readI32());
+    const auto window = static_cast<uint32_t>(rp.readI32());
+    const auto client_busy = static_cast<uint8_t>(rp.readByte());
+    const auto server_busy = static_cast<uint8_t>(rp.readByte());
+    const auto zero_copy = static_cast<uint8_t>(rp.readByte());
+    ConnectRequest c;
+    if (kind > static_cast<uint8_t>(proto::ProtocolKind::kArGrpc) ||
+        client_id >= server_.fabric().node_count() || max_msg == 0 ||
+        window > proto::kMaxChannelWindow ||
+        uint64_t(max_msg) * std::max(window, 1u) > kMaxBufferBytes ||
+        eager_slots == 0 ||
+        uint64_t(eager_slots) * c.cfg.eager_slot > kMaxBufferBytes ||
+        client_busy > 1 || server_busy > 1 || zero_copy > 1)
+      return std::nullopt;
+    c.kind = static_cast<proto::ProtocolKind>(kind);
+    c.client = server_.fabric().node(client_id);
+    c.cfg.max_msg = max_msg;
+    c.cfg.eager_slots = eager_slots;
+    c.cfg.window = window;
+    c.cfg.client_poll = client_busy ? sim::PollMode::kBusy
+                                    : sim::PollMode::kEvent;
+    c.cfg.server_poll = server_busy ? sim::PollMode::kBusy
+                                    : sim::PollMode::kEvent;
+    c.cfg.zero_copy = zero_copy != 0;
+    return c;
+  }
+
+  /// Serves handshakes until the listener closes. A malformed or truncated
+  /// request, or one no channel can be built for, closes its socket with
+  /// no reply (the client reports "rdma handshake rejected") and the loop
+  /// keeps accepting: one hostile peer must not stop the simulation.
   sim::Task<void> accept_loop() {
     while (SimSocket* sock = co_await listener_->accept()) {
-      TFramedTransport framed(sock);
-      auto req = co_await framed.recv();
-      if (!req) continue;
-      TMemoryBuffer rb = TMemoryBuffer::wrap(*req);
-      TBinaryProtocol rp(rb);
-      auto kind = static_cast<proto::ProtocolKind>(rp.readByte());
-      auto client_id = static_cast<uint32_t>(rp.readI32());
-      proto::ChannelConfig cfg;
-      cfg.max_msg = static_cast<uint32_t>(rp.readI32());
-      cfg.eager_slots = static_cast<uint32_t>(rp.readI32());
-      cfg.window = static_cast<uint32_t>(rp.readI32());
-      cfg.client_poll = rp.readByte() ? sim::PollMode::kBusy
-                                      : sim::PollMode::kEvent;
-      cfg.server_poll = rp.readByte() ? sim::PollMode::kBusy
-                                      : sim::PollMode::kEvent;
-      cfg.zero_copy = rp.readByte() != 0;
+      TFramedTransport framed(sock, kConnectRequestBytes);
+      std::optional<Buffer> req;
+      try {
+        req = co_await framed.recv();
+      } catch (const TTransportException&) {
+        // Oversized frame, or EOF mid-frame.
+      }
+      std::optional<ConnectRequest> c;
+      if (req) c = parse_connect(*req);
       // Create the verbs resources on both ends (QP exchange + buffer
       // registration) and reply with the endpoint handle.
-      verbs::Node& client = *server_.fabric().node(client_id);
-      endpoints_.push_back(std::make_unique<TRdmaEndPoint>(
-          proto::make_channel(kind, client, server_, processor_, cfg),
-          client, cfg));
+      std::unique_ptr<TRdmaEndPoint> ep;
+      if (c) {
+        try {
+          ep = std::make_unique<TRdmaEndPoint>(
+              proto::make_channel(c->kind, *c->client, server_, processor_,
+                                  c->cfg),
+              *c->client, c->cfg);
+        } catch (const std::exception&) {
+          // The channel rejected its geometry.
+        }
+      }
+      if (!ep) {
+        sock->close();
+        continue;
+      }
+      endpoints_.push_back(std::move(ep));
       TMemoryBuffer reply;
       TBinaryProtocol wp(reply);
       wp.writeI32(static_cast<int32_t>(endpoints_.size() - 1));

@@ -7,6 +7,7 @@
 
 #include "proto/wire.h"
 #include "thrift/socket.h"
+#include "thrift/ttypes.h"
 
 namespace hatrpc::thrift {
 
@@ -27,7 +28,11 @@ class MessageTransport {
 /// TFramedTransport on TSocket.
 class TFramedTransport final : public MessageTransport {
  public:
-  explicit TFramedTransport(SimSocket* sock) : sock_(sock) {}
+  /// `max_frame` bounds the peer-declared frame length (Apache Thrift's
+  /// maxFrameSize): a longer frame is rejected before anything is
+  /// allocated for it.
+  explicit TFramedTransport(SimSocket* sock, uint32_t max_frame = UINT32_MAX)
+      : sock_(sock), max_frame_(max_frame) {}
 
   sim::Task<void> send(View msg) override {
     Buffer frame(4 + msg.size());
@@ -42,6 +47,9 @@ class TFramedTransport final : public MessageTransport {
     if (got == 0) co_return std::nullopt;  // clean EOF between frames
     co_await sock_->read_exact(hdr + 1, 3);
     uint32_t len = proto::get_u32(hdr);
+    if (len > max_frame_)
+      throw TTransportException(TTransportException::Kind::kCorrupted,
+                                "frame exceeds max_frame");
     Buffer msg(len);
     co_await sock_->read_exact(msg.data(), len);
     co_return msg;
@@ -53,6 +61,7 @@ class TFramedTransport final : public MessageTransport {
 
  private:
   SimSocket* sock_;
+  uint32_t max_frame_;
 };
 
 }  // namespace hatrpc::thrift

@@ -88,19 +88,22 @@ std::string upcased(std::string s) {
 }
 
 // ---------------------------------------------------------------------------
-// Property sweep: every protocol echoes correctly for every payload size and
-// both polling disciplines, and its server loop shuts down cleanly.
+// Property sweep: every protocol echoes correctly for every payload size,
+// both polling disciplines, both data-path modes (staged and zero-copy) and
+// a serial and a windowed channel, and its server loop shuts down cleanly.
 // ---------------------------------------------------------------------------
 class ProtocolRoundTrip
-    : public ::testing::TestWithParam<std::tuple<ProtocolKind, size_t, int>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<ProtocolKind, size_t, int, bool, uint32_t>> {};
 
 TEST_P(ProtocolRoundTrip, EchoesAcrossSizesAndPolling) {
-  auto [kind, size, poll] = GetParam();
+  auto [kind, size, poll, zero_copy, window] = GetParam();
   ChannelConfig cfg;
   cfg.client_poll = poll == 0 ? PollMode::kBusy : PollMode::kEvent;
   cfg.server_poll = cfg.client_poll;
   cfg.max_msg = 1 << 20;
+  cfg.zero_copy = zero_copy;
+  cfg.window = window;
   std::string payload = payload_of(size);
   RpcResult r = run_rpc(kind, payload, cfg, /*repeats=*/2);
   EXPECT_EQ(r.response, upcased(payload)) << to_string(kind);
@@ -115,12 +118,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kAllProtocols),
                        ::testing::Values<size_t>(0, 1, 17, 512, 4096, 5000,
                                                  65536, 262144),
-                       ::testing::Values(0, 1)),
+                       ::testing::Values(0, 1), ::testing::Bool(),
+                       ::testing::Values<uint32_t>(1, 4)),
     [](const auto& info) {
+      // Staged window-1 cases keep their original names.
       std::string name(to_string(std::get<0>(info.param)));
       std::erase(name, '-');
       return name + "_" + std::to_string(std::get<1>(info.param)) + "B_" +
-             (std::get<2>(info.param) == 0 ? "busy" : "event");
+             (std::get<2>(info.param) == 0 ? "busy" : "event") +
+             (std::get<3>(info.param) ? "_zc" : "") +
+             (std::get<4>(info.param) > 1 ? "_w4" : "");
     });
 
 // ---------------------------------------------------------------------------

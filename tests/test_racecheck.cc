@@ -302,8 +302,8 @@ TEST(RaceCheckLifetime, EagerRecvSlotDoubleReleaseIsANoOpAndDiagnosed) {
   } out;
   sim.spawn([](proto::EagerPipe& pipe, Out& out) -> Task<void> {
     Buffer msg(64, std::byte{0xaa});
-    co_await pipe.send_zc(msg);
-    auto m1 = co_await pipe.recv_zc();
+    co_await pipe.send(msg);
+    auto m1 = co_await pipe.recv();
     out.in_place = m1 && m1->in_place();
     out.first = Buffer(m1->bytes().begin(), m1->bytes().end());
     const uint32_t slot = m1->slot;
@@ -312,8 +312,8 @@ TEST(RaceCheckLifetime, EagerRecvSlotDoubleReleaseIsANoOpAndDiagnosed) {
 
     // The ring still works: the slot serves exactly one more message.
     Buffer msg2(64, std::byte{0xbb});
-    co_await pipe.send_zc(msg2);
-    auto m2 = co_await pipe.recv_zc();
+    co_await pipe.send(msg2);
+    auto m2 = co_await pipe.recv();
     out.second = Buffer(m2->bytes().begin(), m2->bytes().end());
     if (m2 && m2->in_place()) pipe.release(m2->slot);
   }(pipe, out));

@@ -426,5 +426,174 @@ TEST(TRdmaTransport, ManyClientsHandshakeConcurrently) {
   EXPECT_EQ(transport.connections(), 6u);
 }
 
+// ---------------------------------------------------------------------------
+// Hostile handshakes: a malformed ConnectRequest is refused (socket closed,
+// no reply) and the transport keeps accepting.
+// ---------------------------------------------------------------------------
+
+/// A ConnectRequest encoded field by field, so each test can corrupt one.
+struct RawConnect {
+  int8_t kind = static_cast<int8_t>(proto::ProtocolKind::kDirectWriteImm);
+  int32_t client_id = 0;
+  int32_t max_msg = 256 << 10;
+  int32_t eager_slots = 16;
+  int32_t window = 1;
+  int8_t client_busy = 1;
+  int8_t server_busy = 1;
+  int8_t zero_copy = 0;
+
+  proto::Buffer payload() const {
+    TMemoryBuffer buf;
+    TBinaryProtocol p(buf);
+    p.writeByte(kind);
+    p.writeI32(client_id);
+    p.writeI32(max_msg);
+    p.writeI32(eager_slots);
+    p.writeI32(window);
+    p.writeByte(client_busy);
+    p.writeByte(server_busy);
+    p.writeByte(zero_copy);
+    return proto::Buffer(buf.view().begin(), buf.view().end());
+  }
+};
+
+/// [u32 length][payload], as TFramedTransport puts it on the wire.
+proto::Buffer framed(proto::View payload, uint32_t declared_len) {
+  proto::Buffer out(4);
+  proto::put_u32(out.data(), declared_len);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+proto::Buffer framed(proto::View payload) {
+  return framed(payload, static_cast<uint32_t>(payload.size()));
+}
+
+struct HandshakeOutcome {
+  bool replied = true;  // the server answered the hostile request
+  std::string echoed;   // a valid client's call after it
+  size_t connections = 0;
+};
+
+/// Writes `wire` (raw socket bytes) to the transport's port as a handshake,
+/// closing the socket afterwards when `close_after` is set, then connects a
+/// well-formed client and makes one call on its endpoint.
+HandshakeOutcome hostile_then_valid(const proto::Buffer& wire,
+                                    bool close_after = false) {
+  Simulator sim;
+  verbs::Fabric fabric(sim);
+  SocketNet net(fabric);
+  verbs::Node* sv = fabric.add_node();
+  verbs::Node* cl = fabric.add_node();
+  TRdmaTransport transport(net, *sv, 7100,
+                           [](proto::View req) -> Task<proto::Buffer> {
+                             co_return proto::Buffer(req.begin(), req.end());
+                           });
+  HandshakeOutcome out;
+  sim.spawn([](SocketNet& net, TRdmaTransport& transport, verbs::Node* cl,
+               verbs::Node* sv, const proto::Buffer& wire, bool close_after,
+               HandshakeOutcome& out) -> Task<void> {
+    SimSocket* sock = co_await net.connect(*cl, *sv, 7100);
+    co_await sock->write(wire);
+    if (close_after) sock->close();
+    TFramedTransport framed(sock);
+    out.replied = (co_await framed.recv()).has_value();
+    TRdmaEndPoint* ep = co_await transport.connect(
+        *cl, proto::ProtocolKind::kDirectWriteImm, proto::ChannelConfig{});
+    proto::Buffer req = proto::to_buffer("still-accepting");
+    proto::Buffer resp = (co_await ep->channel().call(req, 64)).value();
+    out.echoed = std::string(proto::as_string(resp));
+    out.connections = transport.connections();
+    transport.stop();
+  }(net, transport, cl, sv, wire, close_after, out));
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  return out;
+}
+
+void expect_refused(const proto::Buffer& wire, bool close_after = false) {
+  HandshakeOutcome r = hostile_then_valid(wire, close_after);
+  EXPECT_FALSE(r.replied);
+  EXPECT_EQ(r.echoed, "still-accepting");
+  EXPECT_EQ(r.connections, 1u);  // only the valid client got an endpoint
+}
+
+TEST(TRdmaHandshake, WellFormedRawRequestIsAccepted) {
+  // The encoder below is the real wire format: unmodified, it is accepted.
+  RawConnect raw;
+  raw.client_id = 1;
+  HandshakeOutcome r = hostile_then_valid(framed(raw.payload()));
+  EXPECT_TRUE(r.replied);
+  EXPECT_EQ(r.echoed, "still-accepting");
+  EXPECT_EQ(r.connections, 2u);
+}
+
+TEST(TRdmaHandshake, UnknownProtocolKindIsRefused) {
+  RawConnect raw;
+  raw.client_id = 1;
+  raw.kind = 12;  // one past kArGrpc
+  expect_refused(framed(raw.payload()));
+}
+
+TEST(TRdmaHandshake, UnknownClientNodeIsRefused) {
+  RawConnect raw;
+  raw.client_id = 2;  // the fabric has nodes 0 and 1 only
+  expect_refused(framed(raw.payload()));
+  raw.client_id = -1;
+  expect_refused(framed(raw.payload()));
+}
+
+TEST(TRdmaHandshake, MaxMsgOutsideTheBufferBoundIsRefused) {
+  RawConnect raw;
+  raw.client_id = 1;
+  raw.max_msg = (16 << 20) + 1;
+  expect_refused(framed(raw.payload()));
+  raw.max_msg = -1;
+  expect_refused(framed(raw.payload()));
+  raw.max_msg = 0;
+  expect_refused(framed(raw.payload()));
+  // max_msg within bounds, but a window of slots that no longer is.
+  raw.max_msg = 1 << 20;
+  raw.window = 32;
+  expect_refused(framed(raw.payload()));
+}
+
+TEST(TRdmaHandshake, WindowBeyondTheSlotTagRangeIsRefused) {
+  RawConnect raw;
+  raw.client_id = 1;
+  raw.max_msg = 1024;
+  raw.window = 257;
+  expect_refused(framed(raw.payload()));
+  raw.window = -1;
+  expect_refused(framed(raw.payload()));
+}
+
+TEST(TRdmaHandshake, EagerSlotCountOutsideTheRingBoundIsRefused) {
+  RawConnect raw;
+  raw.client_id = 1;
+  raw.eager_slots = 0;
+  expect_refused(framed(raw.payload()));
+  raw.eager_slots = 1 << 20;  // a 4 GiB ring at 4 KB slots
+  expect_refused(framed(raw.payload()));
+}
+
+TEST(TRdmaHandshake, FlagBytesOtherThanZeroOrOneAreRefused) {
+  RawConnect raw;
+  raw.client_id = 1;
+  raw.zero_copy = 2;
+  expect_refused(framed(raw.payload()));
+}
+
+TEST(TRdmaHandshake, TruncatedRequestIsRefused) {
+  RawConnect raw;
+  raw.client_id = 1;
+  proto::Buffer full = raw.payload();
+  // A complete frame holding a short request...
+  expect_refused(framed(proto::View(full).first(9)));
+  // ...a frame cut off by EOF before its declared length...
+  expect_refused(framed(proto::View(full).first(9), 20), /*close_after=*/true);
+  // ...and a frame header declaring far more than any request.
+  expect_refused(framed({}, 1u << 30), /*close_after=*/true);
+}
+
 }  // namespace
 }  // namespace hatrpc::thrift

@@ -378,6 +378,21 @@ TEST(ZeroCopyOracle, SegmentedEagerSendSkipsTheStagingCopy) {
             staged.per_call(obs::Ctr::kWqesPosted));
 }
 
+TEST(ZeroCopyOracle, WindowedSegmentedResponseIsChargedOnce) {
+  // window > 1 frames every message behind a 4-byte slot prefix. A response
+  // larger than one slot is assembled (and charged) by the pipe, so the
+  // client must not charge a second materialization copy for it: zero-copy
+  // pays the two receive-side assemblies, staged pays four slot copies.
+  constexpr size_t kLen = 10000;
+  constexpr uint64_t kFrame = kLen + 4;
+  Footprint staged = measure(ProtocolKind::kEagerSendRecv, kLen,
+                             ChannelConfig{}.with_window(2));
+  Footprint zc = measure(ProtocolKind::kEagerSendRecv, kLen,
+                         ChannelConfig{}.with_window(2).with_zero_copy());
+  EXPECT_EQ(staged.per_call(obs::Ctr::kCopyBytes), 4 * kFrame);
+  EXPECT_EQ(zc.per_call(obs::Ctr::kCopyBytes), 2 * kFrame);
+}
+
 TEST(ZeroCopyOracle, SegmentedWindowedSendsHaveNoCrossTalk) {
   // window > 1 with oversized payloads: segmented zero-copy sends from two
   // lanes interleave on the ring, and the slot prefix must still route

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
@@ -11,50 +12,131 @@ namespace hatrpc::kv {
 namespace {
 constexpr size_t kPageHeader = 32;
 constexpr size_t kCellHeader = 16;
+constexpr uint8_t kOverflowCell = 1;  // cell flag: the value is a PageId
+constexpr size_t kMaxKey = size_t{1} << 30;
 constexpr const char* kWriterActive = "mdblite: writer already active";
 constexpr const char* kReadersFull = "mdblite: reader table full";
+
+uint32_t load32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store32(char* p, size_t v) {
+  uint32_t u = static_cast<uint32_t>(v);
+  std::memcpy(p, &u, sizeof u);
+}
 }  // namespace
 
-/// In-memory page. Cells are structured (keys/values vectors) with byte
-/// accounting against the configured page size, which preserves LMDB's
-/// split/merge/occupancy behaviour without byte-level cell packing.
+/// In-memory page, kept as a flat image the way LMDB keeps one: `bytes`
+/// holds the cells back to back in key order and `offs[i]` is where cell i
+/// starts, so copying a page is copying two or three flat arrays. A cell is
+///
+///   [u32 key size][u32 value size][u8 flags][7 reserved][key][value]
+///
+/// Branch cells have no value; their children sit in `children`, one more
+/// than the cells. A leaf cell flagged kOverflowCell stores the 8-byte id
+/// of an overflow page as its value. An overflow page has no cells: its
+/// `bytes` are the payload().
+///
+/// The header is the kCellHeader bytes the page budget charges per cell,
+/// so the image size is exactly that budget: per cell the key plus
+/// kCellHeader plus the value (or the 8-byte overflow ref), and per child
+/// 8 bytes. used() adds up two sizes instead of walking the cells.
 struct Page {
   PageId id = 0;
   bool leaf = true;
-  bool overflow = false;
   uint64_t born_txn = 0;
-  std::vector<std::string> keys;
-  std::vector<std::string> values;   // leaf only; parallel to keys
-  std::vector<uint8_t> ovf_flags;    // leaf: values[i] is an overflow ref
-  std::vector<PageId> children;      // branch only; keys.size() + 1
-  std::string ovf_data;              // overflow page payload
+  std::vector<char> bytes;
+  std::vector<uint32_t> offs;
+  std::vector<PageId> children;  // branch only; size() + 1
 
-  size_t used(size_t /*page_size*/) const {
-    size_t bytes = 0;
-    for (const auto& k : keys) bytes += k.size() + kCellHeader;
-    if (leaf) {
-      for (size_t i = 0; i < values.size(); ++i)
-        bytes += ovf_flags[i] ? sizeof(PageId) : values[i].size();
+  size_t size() const { return offs.size(); }
+  size_t used() const {
+    return bytes.size() + children.size() * sizeof(PageId);
+  }
+
+  const char* cell(size_t i) const { return bytes.data() + offs[i]; }
+  size_t key_size(size_t i) const { return load32(cell(i)); }
+  size_t value_size(size_t i) const { return load32(cell(i) + 4); }
+  bool overflow(size_t i) const {
+    return static_cast<uint8_t>(cell(i)[8]) & kOverflowCell;
+  }
+  std::string_view key(size_t i) const {
+    return {cell(i) + kCellHeader, key_size(i)};
+  }
+  std::string_view value(size_t i) const {
+    return {cell(i) + kCellHeader + key_size(i), value_size(i)};
+  }
+  std::string_view payload() const { return {bytes.data(), bytes.size()}; }
+  PageId overflow_ref(size_t i) const {
+    PageId ref;
+    std::memcpy(&ref, value(i).data(), sizeof ref);
+    return ref;
+  }
+
+  // Resizes the `len` bytes at `at` to `n` bytes (new bytes are zero) and
+  // moves the offsets of cells [from, size()) with the tail. Buffers grow
+  // to fit exactly (reserve, not insert's doubling): slack would stay in
+  // every page.
+  void splice(size_t at, size_t len, size_t n, size_t from) {
+    if (n > len) {
+      bytes.reserve(bytes.size() + n - len);
+      bytes.insert(bytes.begin() + at + len, n - len, '\0');
     } else {
-      bytes += children.size() * sizeof(PageId);
+      bytes.erase(bytes.begin() + at + n, bytes.begin() + at + len);
     }
-    return bytes;
+    for (size_t j = from; j < offs.size(); ++j)
+      offs[j] += static_cast<uint32_t>(n - len);  // mod 2^32 when shrinking
+  }
+
+  void insert(size_t i, std::string_view key, std::string_view value,
+              uint8_t flags) {
+    const size_t at = i < offs.size() ? offs[i] : bytes.size();
+    offs.insert(offs.begin() + i, static_cast<uint32_t>(at));
+    splice(at, 0, kCellHeader + key.size() + value.size(), i + 1);
+    char* c = bytes.data() + at;
+    store32(c, key.size());
+    store32(c + 4, value.size());
+    c[8] = static_cast<char>(flags);
+    // std::copy, not memcpy: an empty view may have a null data().
+    std::copy(key.begin(), key.end(), c + kCellHeader);
+    std::copy(value.begin(), value.end(), c + kCellHeader + key.size());
+  }
+
+  void set_value(size_t i, std::string_view value, uint8_t flags) {
+    const size_t at = offs[i] + kCellHeader + key_size(i);
+    splice(at, value_size(i), value.size(), i + 1);
+    char* c = bytes.data() + offs[i];
+    store32(c + 4, value.size());
+    c[8] = static_cast<char>(flags);
+    std::copy(value.begin(), value.end(), bytes.data() + at);
+  }
+
+  void erase(size_t i) {
+    splice(offs[i], kCellHeader + key_size(i) + value_size(i), 0, i + 1);
+    offs.erase(offs.begin() + i);
+  }
+
+  // Appends cells [from, src.size()) of `src`.
+  void append(const Page& src, size_t from) {
+    if (from == src.size()) return;
+    const size_t start = src.offs[from];
+    const size_t at = bytes.size();
+    bytes.reserve(at + src.bytes.size() - start);
+    bytes.insert(bytes.end(), src.bytes.begin() + start, src.bytes.end());
+    for (size_t j = from; j < src.size(); ++j)
+      offs.push_back(static_cast<uint32_t>(src.offs[j] - start + at));
+  }
+
+  // Keeps cells [0, n). Splits end here, so the buffer is trimmed too.
+  void truncate(size_t n) {
+    bytes.resize(offs[n]);
+    bytes.shrink_to_fit();
+    offs.resize(n);
   }
 };
-
-namespace {
-
-PageId decode_ovf(const std::string& v) {
-  PageId id;
-  std::memcpy(&id, v.data(), sizeof id);
-  return id;
-}
-
-std::string encode_ovf(PageId id) {
-  return std::string(reinterpret_cast<const char*>(&id), sizeof id);
-}
-
-}  // namespace
 
 // ===========================================================================
 // Env
@@ -76,6 +158,8 @@ Page* Env::alloc_page(bool leaf, uint64_t txn_id) {
   if (!reusable_.empty()) {
     id = reusable_.back();
     reusable_.pop_back();
+    // Drop the old image's buffers rather than keep their capacity: images
+    // are sized to fit, and recycled slack would pin memory in every page.
     *pages_[id] = Page{};
     ++stats_.reclaimed;
   } else {
@@ -237,11 +321,10 @@ Page* Txn::shadow(PageId id) {
   Page* old = env_->page(id);
   if (old->born_txn == txn_id_) return old;  // already ours
   Page* fresh = env_->alloc_page(old->leaf, txn_id_);
-  PageId fid = fresh->id;
-  *fresh = *old;
-  fresh->id = fid;
-  fresh->born_txn = txn_id_;
-  dirty_.push_back(fid);
+  fresh->bytes = old->bytes;
+  fresh->offs = old->offs;
+  fresh->children = old->children;
+  dirty_.push_back(fresh->id);
   freed_.push_back(id);
   ++pages_touched_;
   return fresh;
@@ -249,16 +332,23 @@ Page* Txn::shadow(PageId id) {
 
 namespace {
 
-// Routing: branch keys[i] is the smallest key of children[i+1].
+// Binary searches over the cell indices of `p`, by key.
+auto cells(const Page& p) { return std::views::iota(size_t{0}, p.size()); }
+auto key_of(const Page& p) {
+  return [&p](size_t i) { return p.key(i); };
+}
+
+// Routing: branch key(i) is the smallest key of children[i+1].
 size_t route(const Page& p, std::string_view key) {
-  return static_cast<size_t>(
-      std::upper_bound(p.keys.begin(), p.keys.end(), key) - p.keys.begin());
+  auto all = cells(p);
+  return std::ranges::upper_bound(all, key, {}, key_of(p)) - all.begin();
 }
 
 size_t leaf_pos(const Page& p, std::string_view key, bool& exact) {
-  auto it = std::lower_bound(p.keys.begin(), p.keys.end(), key);
-  exact = it != p.keys.end() && *it == key;
-  return static_cast<size_t>(it - p.keys.begin());
+  auto all = cells(p);
+  size_t i = std::ranges::lower_bound(all, key, {}, key_of(p)) - all.begin();
+  exact = i < p.size() && p.key(i) == key;
+  return i;
 }
 
 }  // namespace
@@ -280,11 +370,9 @@ std::optional<std::string> Txn::get_in(DbState& st, std::string_view key) {
   bool exact;
   size_t i = leaf_pos(*p, key, exact);
   if (!exact) return std::nullopt;
-  if (p->ovf_flags[i]) {
-    Page* ovf = readable(decode_ovf(p->values[i]));
-    return ovf->ovf_data;
-  }
-  return p->values[i];
+  if (p->overflow(i))
+    return std::string(readable(p->overflow_ref(i))->payload());
+  return std::string(p->value(i));
 }
 
 void Txn::put(std::string_view key, std::string_view value) {
@@ -295,6 +383,10 @@ void Txn::put(std::string_view db, std::string_view key,
               std::string_view value) {
   if (done_ || !write_)
     throw std::logic_error("mdblite: put needs an active write txn");
+  // Cell sizes and offsets are 32-bit. An image is at most its budget plus
+  // two cells (one oversized cell and the one being inserted), so 1 GiB
+  // keys keep every offset in range.
+  if (key.size() > kMaxKey) throw std::length_error("mdblite: key too large");
   put_in(state(db), key, value);
 }
 
@@ -303,32 +395,24 @@ void Txn::put_in(DbState& st, std::string_view key, std::string_view value) {
   const size_t capacity = psize - kPageHeader;
   const bool big = value.size() > psize / 4;
 
-  auto store_value = [&](Page* leaf, size_t i) {
-    if (big) {
-      Page* ovf = env_->alloc_page(true, txn_id_);
-      ovf->overflow = true;
-      ovf->ovf_data = std::string(value);
-      dirty_.push_back(ovf->id);
-      env_->stats_.page_writes += value.size() / psize;  // chain accounting
-      leaf->values[i] = encode_ovf(ovf->id);
-      leaf->ovf_flags[i] = 1;
-    } else {
-      leaf->values[i] = std::string(value);
-      leaf->ovf_flags[i] = 0;
-    }
-  };
-
-  auto free_value = [&](Page* leaf, size_t i) {
-    if (leaf->ovf_flags[i]) freed_.push_back(decode_ovf(leaf->values[i]));
+  const uint8_t flags = big ? kOverflowCell : 0;
+  // What the leaf cell stores: the value itself, or the id of a fresh
+  // overflow page holding it.
+  char ref[sizeof(PageId)];
+  auto cell_value = [&]() -> std::string_view {
+    if (!big) return value;
+    Page* ovf = env_->alloc_page(true, txn_id_);
+    ovf->bytes.assign(value.begin(), value.end());
+    dirty_.push_back(ovf->id);
+    env_->stats_.page_writes += value.size() / psize;  // chain accounting
+    std::memcpy(ref, &ovf->id, sizeof ref);
+    return {ref, sizeof ref};
   };
 
   if (st.root == kNoPage) {
     Page* leaf = env_->alloc_page(true, txn_id_);
     dirty_.push_back(leaf->id);
-    leaf->keys.emplace_back(key);
-    leaf->values.emplace_back();
-    leaf->ovf_flags.push_back(0);
-    store_value(leaf, 0);
+    leaf->insert(0, key, cell_value(), flags);
     st.root = leaf->id;
     st.entries = 1;
     return;
@@ -348,27 +432,19 @@ void Txn::put_in(DbState& st, std::string_view key, std::string_view value) {
       bool exact;
       size_t i = leaf_pos(*p, key, exact);
       if (exact) {
-        free_value(p, i);
-        store_value(p, i);
+        if (p->overflow(i)) freed_.push_back(p->overflow_ref(i));
+        p->set_value(i, cell_value(), flags);
       } else {
-        p->keys.insert(p->keys.begin() + i, std::string(key));
-        p->values.insert(p->values.begin() + i, std::string());
-        p->ovf_flags.insert(p->ovf_flags.begin() + i, 0);
-        store_value(p, i);
+        p->insert(i, key, cell_value(), flags);
         ++st.entries;
       }
-      if (p->used(psize) > capacity && p->keys.size() > 1) {
-        size_t mid = p->keys.size() / 2;
+      if (p->used() > capacity && p->size() > 1) {
+        size_t mid = p->size() / 2;
         Page* right = env_->alloc_page(true, txn_id_);
         dirty_.push_back(right->id);
-        right->keys.assign(p->keys.begin() + mid, p->keys.end());
-        right->values.assign(p->values.begin() + mid, p->values.end());
-        right->ovf_flags.assign(p->ovf_flags.begin() + mid,
-                                p->ovf_flags.end());
-        p->keys.resize(mid);
-        p->values.resize(mid);
-        p->ovf_flags.resize(mid);
-        si = {true, right->keys.front(), right->id};
+        right->append(*p, mid);
+        p->truncate(mid);
+        si = {true, std::string(right->key(0)), right->id};
       }
       return {p->id, si};
     }
@@ -376,17 +452,17 @@ void Txn::put_in(DbState& st, std::string_view key, std::string_view value) {
     auto [child_id, child_split] = self(self, p->children[idx]);
     p->children[idx] = child_id;
     if (child_split.split) {
-      p->keys.insert(p->keys.begin() + idx, child_split.sep);
+      p->insert(idx, child_split.sep, {}, 0);
       p->children.insert(p->children.begin() + idx + 1, child_split.right);
-      if (p->used(psize) > capacity && p->keys.size() > 1) {
-        size_t mid = p->keys.size() / 2;
+      if (p->used() > capacity && p->size() > 1) {
+        size_t mid = p->size() / 2;
         Page* right = env_->alloc_page(false, txn_id_);
         dirty_.push_back(right->id);
-        std::string up = p->keys[mid];
-        right->keys.assign(p->keys.begin() + mid + 1, p->keys.end());
+        std::string up(p->key(mid));
+        right->append(*p, mid + 1);
         right->children.assign(p->children.begin() + mid + 1,
                                p->children.end());
-        p->keys.resize(mid);
+        p->truncate(mid);
         p->children.resize(mid + 1);
         si = {true, std::move(up), right->id};
       }
@@ -399,7 +475,7 @@ void Txn::put_in(DbState& st, std::string_view key, std::string_view value) {
   if (split.split) {
     Page* nr = env_->alloc_page(false, txn_id_);
     dirty_.push_back(nr->id);
-    nr->keys.push_back(split.sep);
+    nr->insert(0, split.sep, {}, 0);
     nr->children = {st.root, split.right};
     st.root = nr->id;
   }
@@ -425,10 +501,8 @@ bool Txn::del_in(DbState& st, std::string_view key) {
       bool exact;
       size_t i = leaf_pos(*p, key, exact);
       if (exact) {
-        if (p->ovf_flags[i]) freed_.push_back(decode_ovf(p->values[i]));
-        p->keys.erase(p->keys.begin() + i);
-        p->values.erase(p->values.begin() + i);
-        p->ovf_flags.erase(p->ovf_flags.begin() + i);
+        if (p->overflow(i)) freed_.push_back(p->overflow_ref(i));
+        p->erase(i);
         removed = true;
         --st.entries;
       }
@@ -441,34 +515,24 @@ bool Txn::del_in(DbState& st, std::string_view key) {
     // Peek with read-only pages FIRST — shadowing a page we end up not
     // modifying would push a still-referenced page onto the freelist.
     Page* child = env_->page(p->children[idx]);
-    if (child->used(psize) < capacity / 4 && p->children.size() > 1) {
+    if (child->used() < capacity / 4 && p->children.size() > 1) {
       size_t li = idx > 0 ? idx - 1 : idx;  // merge (li, li+1)
       Page* lpeek = env_->page(p->children[li]);
       Page* rpeek = env_->page(p->children[li + 1]);
       if (lpeek->leaf == rpeek->leaf &&
-          lpeek->used(psize) + rpeek->used(psize) <= capacity) {
+          lpeek->used() + rpeek->used() <= capacity) {
         Page* left = shadow(p->children[li]);
         p->children[li] = left->id;
         Page* right = shadow(p->children[li + 1]);
-        if (left->leaf) {
-          left->keys.insert(left->keys.end(), right->keys.begin(),
-                            right->keys.end());
-          left->values.insert(left->values.end(), right->values.begin(),
-                              right->values.end());
-          left->ovf_flags.insert(left->ovf_flags.end(),
-                                 right->ovf_flags.begin(),
-                                 right->ovf_flags.end());
-        } else {
-          left->keys.push_back(p->keys[li]);  // pull the separator down
-          left->keys.insert(left->keys.end(), right->keys.begin(),
-                            right->keys.end());
-          left->children.insert(left->children.end(), right->children.begin(),
-                                right->children.end());
-        }
+        if (!left->leaf)  // pull the separator down
+          left->insert(left->size(), p->key(li), {}, 0);
+        left->append(*right, 0);
+        left->children.insert(left->children.end(), right->children.begin(),
+                              right->children.end());
         // `right` is our own shadow (never published): recycle directly.
         std::erase(dirty_, right->id);
         env_->reusable_.push_back(right->id);
-        p->keys.erase(p->keys.begin() + li);
+        p->erase(li);
         p->children.erase(p->children.begin() + li + 1);
         p->children[li] = left->id;
       }
@@ -486,7 +550,7 @@ bool Txn::del_in(DbState& st, std::string_view key) {
     st.root = only;
     r = env_->page(st.root);
   }
-  if (r->leaf && r->keys.empty()) {
+  if (r->leaf && r->size() == 0) {
     std::erase(dirty_, r->id);
     env_->reusable_.push_back(r->id);
     st.root = kNoPage;
@@ -510,7 +574,7 @@ void Cursor::descend_left(PageId id) {
     p = txn_.readable(p->children[0]);
     stack_.push_back({p->id, 0});
   }
-  valid_ = !p->keys.empty();
+  valid_ = p->size() > 0;
 }
 
 bool Cursor::first() {
@@ -536,7 +600,7 @@ bool Cursor::seek(std::string_view key) {
   bool exact;
   size_t i = leaf_pos(*p, key, exact);
   stack_.back().index = i;
-  if (i < p->keys.size()) {
+  if (i < p->size()) {
     valid_ = true;
     return true;
   }
@@ -551,7 +615,7 @@ bool Cursor::next() {
     Frame& f = stack_.back();
     Page* p = txn_.env_->page(f.page);
     if (p->leaf) {
-      if (f.index < p->keys.size()) {
+      if (f.index < p->size()) {
         valid_ = true;
         return true;
       }
@@ -570,19 +634,17 @@ bool Cursor::next() {
   return false;
 }
 
-const std::string& Cursor::key() const {
+std::string_view Cursor::key() const {
   const Frame& f = stack_.back();
-  return txn_.env_->page(f.page)->keys[f.index];
+  return txn_.env_->page(f.page)->key(f.index);
 }
 
-const std::string& Cursor::value() const {
+std::string_view Cursor::value() const {
   const Frame& f = stack_.back();
-  Page* p = txn_.env_->page(f.page);
-  if (p->ovf_flags[f.index]) {
-    value_cache_ = txn_.env_->page(decode_ovf(p->values[f.index]))->ovf_data;
-    return value_cache_;
-  }
-  return p->values[f.index];
+  const Page* p = txn_.env_->page(f.page);
+  if (p->overflow(f.index))
+    return txn_.env_->page(p->overflow_ref(f.index))->payload();
+  return p->value(f.index);
 }
 
 }  // namespace hatrpc::kv

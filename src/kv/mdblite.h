@@ -78,6 +78,7 @@ class Txn {
   // B+-tree; all trees commit atomically through the same meta flip. A
   // named tree springs into existence on first put.
   std::optional<std::string> get(std::string_view db, std::string_view key);
+  /// Throws std::length_error for keys over 1 GiB.
   void put(std::string_view db, std::string_view key,
            std::string_view value);
   bool del(std::string_view db, std::string_view key);
@@ -131,8 +132,10 @@ class Cursor {
   bool seek(std::string_view key);  // >= key
   bool next();
   bool valid() const { return valid_; }
-  const std::string& key() const;
-  const std::string& value() const;
+  /// Views into the page image: valid until the cursor moves or its
+  /// transaction ends.
+  std::string_view key() const;
+  std::string_view value() const;
 
  private:
   void descend_left(PageId id);
@@ -144,7 +147,6 @@ class Cursor {
   };
   std::vector<Frame> stack_;
   bool valid_ = false;
-  mutable std::string value_cache_;
 };
 
 class Env {

@@ -88,6 +88,7 @@ QueuePair* Node::create_qp(CompletionQueue& send_cq,
   qps_.push_back(std::make_unique<QueuePair>(fabric_, *this, send_cq, recv_cq,
                                              fabric_.next_qpn_++));
   QueuePair* qp = qps_.back().get();
+  fabric_.qp_index_.push_back(qp);
   if (crashed_) qp->enter_error();
   return qp;
 }
@@ -182,6 +183,7 @@ void Node::destroy_qp(QueuePair* qp) {
     if (it->get() == qp) {
       dead_qps_.push_back(std::move(*it));
       qps_.erase(it);
+      fabric_.qp_index_[qp->qp_num()] = nullptr;
       break;
     }
   }
@@ -250,10 +252,7 @@ void Fabric::set_fault_plan(std::unique_ptr<FaultPlan> plan) {
 }
 
 QueuePair* Fabric::find_qp(uint32_t qp_num) {
-  for (auto& n : nodes_)
-    for (auto& qp : n->qps_)
-      if (qp->qp_num() == qp_num) return qp.get();
-  return nullptr;
+  return qp_num < qp_index_.size() ? qp_index_[qp_num] : nullptr;
 }
 
 Task<void> Fabric::injected_delay(QueuePair& src, const SendWr& wr) {

@@ -117,6 +117,8 @@ class Fabric {
   sim::BufArena buf_arena_;
   std::unique_ptr<FaultPlan> fault_plan_;
   uint32_t next_qpn_ = 1;
+  // Live QPs by qp_num (numbers are sequential from 1): find_qp's index.
+  std::vector<QueuePair*> qp_index_{nullptr};
 };
 
 }  // namespace hatrpc::verbs

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "kv/mdblite.h"
@@ -439,7 +440,7 @@ TEST_P(MdbliteRandomized, MatchesReferenceModel) {
       std::map<std::string, std::string> rebuilt;
       Cursor c(r);
       for (bool ok = c.first(); ok; ok = c.next())
-        rebuilt[c.key()] = c.value();
+        rebuilt[std::string(c.key())] = c.value();
       model = std::move(rebuilt);
     } else {
       t.commit();
@@ -460,6 +461,77 @@ TEST_P(MdbliteRandomized, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MdbliteRandomized,
                          ::testing::Values(1, 2, 3, 42, 1337));
+
+// HatKV charges virtual time per page an mdblite transaction touches, so
+// page counts are inputs of the cost model, not just internals. This runs a
+// seeded op mix over the default and a named database (small, record-sized
+// and overflow values, overwrites, deletes that merge pages and collapse
+// the root, aborts, and a reader pinning the freelist across commits) and
+// pins every count to recorded constants. A storage change that moves any
+// of them moves the virtual clock.
+TEST(MdbliteCostModel, PageAccountingIsPinned) {
+  sim::Rng rng(20261017);
+  Env env;  // default 4 KiB pages, as HatKV runs them
+  uint64_t digest = 14695981039346656037ULL;  // FNV-1a over the counts
+  auto mix = [&](uint64_t v) { digest = (digest ^ v) * 1099511628211ULL; };
+  constexpr size_t kValueSizes[] = {8, 100, 1008, 1500, 9000};
+  auto random_op = [&](Txn& t) {
+    std::string_view db = rng.chance(0.5) ? "" : "named";
+    std::string key = key_of(static_cast<int>(rng.bounded(700)));
+    double dice = rng.uniform01();
+    if (dice < 0.6) {
+      t.put(db, key, std::string(kValueSizes[rng.bounded(5)], 'v'));
+    } else if (dice < 0.8) {
+      mix(t.del(db, key));
+    } else {
+      mix(t.get(db, key).has_value());
+    }
+    mix(t.pages_touched());
+  };
+
+  std::optional<Txn> pinned;
+  for (int round = 0; round < 80; ++round) {
+    if (round == 30) pinned.emplace(env.begin(false));
+    if (round == 50) pinned->commit();
+    Txn t = env.begin(true);
+    for (int op = 0; op < 50; ++op) random_op(t);
+    if (round % 9 == 4) {
+      t.abort();
+      continue;
+    }
+    CommitInfo info = t.commit();
+    mix(info.pages_written);
+  }
+  // Drain both trees to a handful of keys: merges cascade up and the
+  // roots collapse.
+  for (std::string_view db : {"", "named"}) {
+    Txn t = env.begin(true);
+    for (int i = 0; i < 700; ++i)
+      if (i % 97 != 0) t.del(db, key_of(i));
+    mix(t.pages_touched());
+    mix(t.commit().pages_written);
+  }
+  {
+    Txn r = env.begin(false);
+    mix(r.entry_count());
+    mix(r.entry_count("named"));
+    for (std::string_view db : {"", "named"}) {
+      Cursor c(r, db);
+      for (bool ok = c.first(); ok; ok = c.next()) mix(c.value().size());
+    }
+    mix(r.pages_touched());
+  }
+
+  const EnvStats& s = env.stats();
+  EXPECT_EQ(digest, 17267394870758383154ULL);
+  EXPECT_EQ(s.page_reads, 1772u);
+  EXPECT_EQ(s.page_writes, 3914u);
+  EXPECT_EQ(s.commits, 73u);
+  EXPECT_EQ(s.aborts, 9u);
+  EXPECT_EQ(s.reclaimed, 2371u);
+  EXPECT_EQ(env.page_count(), 1076u);
+  EXPECT_EQ(env.live_pages(), 11u);
+}
 
 }  // namespace
 }  // namespace hatrpc::kv

@@ -106,10 +106,10 @@ std::string plan_name(const hint::Plan& p) {
 
 // The ATB work model: dispatch cost plus a payload-proportional checksum.
 proto::Handler checksum_handler(verbs::Node& server) {
-  return [&server](proto::View req) -> Task<proto::Buffer> {
+  return [&server](proto::View req, proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(1000ns +
                                   sim::transfer_time(req.size(), 20.0));
-    co_return proto::Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 

@@ -77,10 +77,11 @@ const char* mode_name(sim::PollMode m) {
 // dispatch cost plus a payload-proportional term, the same work model the
 // figure benchmarks use.
 proto::Handler pinned_handler(verbs::Node& server, int core) {
-  return [&server, core](proto::View req) -> Task<proto::Buffer> {
+  return [&server, core](proto::View req,
+                         proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(
         1000ns + sim::transfer_time(req.size(), 20.0), core);
-    co_return proto::Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 

@@ -206,9 +206,10 @@ PhaseResult run_rpc_phase(const Options& opt) {
   std::vector<std::unique_ptr<proto::RpcChannel>> channels;
   proto::ChannelConfig cfg;
   cfg.with_poll(sim::PollMode::kBusy);
-  proto::Handler echo = [server](proto::View req) -> Task<proto::Buffer> {
+  proto::Handler echo = [server](proto::View req,
+                                 proto::MemoryBuffer& out) -> Task<void> {
     co_await server->cpu().compute(1000ns);
-    co_return proto::Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
   for (uint32_t c = 0; c < opt.rpc_clients; ++c) {
     clients.push_back(fabric.add_node());

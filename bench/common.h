@@ -186,11 +186,16 @@ inline void BenchProbe::finish(Testbed& bed, uint64_t timed_calls,
 /// dispatch + a checksum whose cost grows with payload, §5.3).
 inline proto::Handler checksum_handler(verbs::Node& server,
                                        bool echo_payload = true) {
-  return [&server, echo_payload](proto::View req) -> Task<proto::Buffer> {
+  return [&server, echo_payload](proto::View req,
+                                 proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(1000ns +
                                   sim::transfer_time(req.size(), 20.0));
-    if (echo_payload) co_return proto::Buffer(req.begin(), req.end());
-    co_return proto::Buffer(8);
+    if (echo_payload) {
+      out.write(req.data(), req.size());
+    } else {
+      const std::byte ack[8]{};
+      out.write(ack, sizeof ack);
+    }
   };
 }
 

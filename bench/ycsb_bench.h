@@ -60,7 +60,7 @@ class FixedCaller : public core::HatCaller {
     uint32_t hint = method.starts_with("Multi") ? 11 << 10 : 1200;
     core::Buffer reply = (co_await channel_->call(env, hint)).value();
     co_await cpu_->compute(2us + sim::transfer_time(reply.size(), 1.0));
-    co_return core::HatDispatcher::parse_reply(reply, method);
+    co_return core::HatDispatcher::parse_reply(reply, method, 0);
   }
 
   void shutdown() { channel_->shutdown(); }

@@ -23,16 +23,15 @@ HatServer::~HatServer() {
 }
 
 proto::Handler HatServer::processor() {
-  return [this](proto::View req) -> Task<proto::Buffer> {
+  return [this](proto::View req, proto::MemoryBuffer& out) -> Task<void> {
     // Server-side deserialization + result serialization CPU.
     co_await node_.cpu().compute(
         cfg_.serialize_fixed +
         sim::transfer_time(req.size(), cfg_.serialize_gbps));
-    Buffer reply = co_await dispatcher_.process(req);
+    co_await dispatcher_.process(req, out);
     co_await node_.cpu().compute(
         cfg_.serialize_fixed +
-        sim::transfer_time(reply.size(), cfg_.serialize_gbps));
-    co_return reply;
+        sim::transfer_time(out.size(), cfg_.serialize_gbps));
   };
 }
 
@@ -126,37 +125,59 @@ Task<void> HatConnection::charge_serialize(verbs::Node& node, size_t bytes) {
 }
 
 Task<Buffer> HatConnection::call(std::string method, View payload) {
+  const ArgsWriter write_args = [payload](thrift::TProtocol& p) {
+    p.buffer().write(payload.data(), payload.size());
+  };
+  Buffer result;
+  const ResultReader read_result = [&result](thrift::TProtocol& p) {
+    View rest = p.buffer().unread();
+    result.assign(rest.begin(), rest.end());
+  };
+  co_await call(std::move(method), write_args, read_result);
+  co_return result;
+}
+
+Task<void> HatConnection::call(std::string method,
+                               const ArgsWriter& write_args,
+                               const ResultReader& read_result) {
   if (closed_) throw std::runtime_error("connection closed");
   const hint::Plan& plan = plan_for(method);
-  Buffer envelope = HatDispatcher::make_call(method, payload, ++seq_);
-  co_await charge_serialize(client_, envelope.size());
+  const int32_t seqid = ++seq_;
+  const proto::RequestWriter frame = [&](thrift::TMemoryBuffer& buf) {
+    thrift::TBinaryProtocol p(buf);
+    HatDispatcher::write_call(p, method, seqid, write_args);
+  };
+  // The counting pass stores nothing: it sizes the frame so the serialize
+  // charge (and any serialization error) comes before a slot is claimed.
+  thrift::TMemoryBuffer counted = thrift::TMemoryBuffer::counting();
+  frame(counted);
+  proto::Request req(counted.size(), frame);
+  co_await charge_serialize(client_, req.size());
 
   proto::LeasedReply reply;
   if (plan.transport == hint::Transport::kTcp) {
     thrift::SocketRpcClient* rpc = co_await tcp_client();
-    reply = proto::LeasedReply(co_await rpc->call(envelope));
+    reply = proto::LeasedReply(co_await rpc->call(req.view()));
   } else {
     proto::RpcChannel& ch = channel_for(plan);
     proto::LeasedResult r =
-        co_await ch.call_leased(envelope, plan.expected_payload);
+        co_await ch.call_leased(std::move(req), plan.expected_payload);
     reply = std::move(r).value();
   }
 
-  // Only the result struct is copied out of the lease, which is released
-  // (freeing its window slot) before the deserialize charge. An error reply
-  // is charged, then thrown.
+  // The result struct is decoded straight out of the lease, which is then
+  // released (freeing its window slot) before the deserialize charge. An
+  // error reply is charged, then thrown.
   const size_t reply_size = reply.bytes().size();
-  Buffer result;
   std::exception_ptr error;
   try {
-    result = HatDispatcher::parse_reply(reply.bytes(), method);
+    HatDispatcher::read_reply(reply.bytes(), method, seqid, read_result);
   } catch (...) {
     error = std::current_exception();
   }
   reply.release();
   co_await charge_serialize(client_, reply_size);
   if (error) std::rethrow_exception(error);
-  co_return result;
 }
 
 void HatConnection::close() {

@@ -49,8 +49,9 @@ class HatServer {
   const EngineConfig& config() const { return cfg_; }
   thrift::SocketNet* socket_net() { return net_; }
 
-  /// The byte-level processor (envelope in/out) with server-side
-  /// (de)serialization CPU charged; shared by RDMA channels and the TServer.
+  /// The processor (envelope in, reply envelope written into the channel's
+  /// `out`) with server-side (de)serialization CPU charged; shared by RDMA
+  /// channels and the TServer.
   proto::Handler processor();
 
   void stop();
@@ -78,7 +79,14 @@ class HatConnection : public HatCaller {
   HatConnection(verbs::Node& client, HatServer& server);
   ~HatConnection() override;
 
+  /// Byte-level adapter over the struct-level call below.
   sim::Task<Buffer> call(std::string method, View payload) override;
+  /// Sizes the call frame (envelope + args) with a counting pass, charges
+  /// its serialization, then lets the channel run the writer once, straight
+  /// into its request slot when it stages requests; the reply is decoded in
+  /// place before its lease is released.
+  sim::Task<void> call(std::string method, const ArgsWriter& write_args,
+                       const ResultReader& read_result) override;
 
   /// Resolved + cached plan for a method (exposed for tests/benches).
   const hint::Plan& plan_for(const std::string& method);

@@ -1,10 +1,10 @@
-// Byte-level RPC runtime interfaces that generated code targets.
+// RPC runtime interfaces that generated code targets.
 //
-// A generated client stub serializes its argument struct, then issues
-// HatCaller::call(method, payload); a generated processor deserializes,
-// invokes the user's handler implementation, and serializes the result.
-// The envelope is a standard Thrift message (name, type, seqid) so the
-// same bytes flow over TSocket and TRdma unchanged.
+// A generated client stub hands HatCaller::call an args writer and a result
+// reader; a generated processor deserializes, invokes the user's handler
+// implementation, and serializes the result. The envelope is a standard
+// Thrift message (name, type, seqid) so the same bytes flow over TSocket and
+// TRdma unchanged.
 #pragma once
 
 #include <functional>
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "sim/task.h"
-#include "thrift/buffer.h"
 #include "thrift/protocol.h"
 #include "thrift/transport.h"
 
@@ -21,14 +20,41 @@ namespace hatrpc::core {
 using thrift::Buffer;
 using thrift::View;
 
-/// Client-side generic call interface (implemented by HatConnection and by
-/// the plain socket client).
+/// Serializes a call's args struct (after the envelope the caller wrote).
+using ArgsWriter = std::function<void(thrift::TProtocol&)>;
+/// Decodes a reply's result struct in place (after the envelope).
+using ResultReader = std::function<void(thrift::TProtocol&)>;
+
+/// Client-side call interface (implemented by HatConnection, the bench and
+/// cluster callers, and decorators over them).
 class HatCaller {
  public:
   virtual ~HatCaller() = default;
-  /// `method` is taken by value: coroutine implementations move it into
-  /// their frame, so callers may pass temporaries safely.
+
+  /// Byte-level call: `payload` is the serialized args struct; resolves to
+  /// the serialized result struct. `method` is taken by value: coroutine
+  /// implementations move it into their frame, so callers may pass
+  /// temporaries safely.
   virtual sim::Task<Buffer> call(std::string method, View payload) = 0;
+
+  /// Struct-level call, the one generated stubs make. The default
+  /// serializes the args, goes through the byte-level call() and decodes the
+  /// bytes it returns; HatConnection overrides it to serialize straight into
+  /// the channel's registered request slot and decode the reply in place.
+  /// An empty `read_result` (oneway) skips the decode. Both functions must
+  /// stay valid until the call resolves.
+  virtual sim::Task<void> call(std::string method,
+                               const ArgsWriter& write_args,
+                               const ResultReader& read_result) {
+    thrift::TMemoryBuffer args;
+    thrift::TBinaryProtocol ap(args);
+    write_args(ap);
+    Buffer result = co_await call(std::move(method), args.view());
+    if (!read_result) co_return;
+    thrift::TMemoryBuffer rb = thrift::TMemoryBuffer::wrap(result);
+    thrift::TBinaryProtocol rp(rb);
+    read_result(rp);
+  }
 };
 
 /// Server-side method table: method name -> handler over serialized args.
@@ -51,13 +77,13 @@ class HatDispatcher {
     return methods_.count(name) > 0;
   }
 
-  /// Full envelope in -> full envelope out.
-  sim::Task<Buffer> process(View request) {
+  /// Full envelope in -> full envelope out: the reply envelope and the
+  /// method's result struct are written into `out`.
+  sim::Task<void> process(View request, thrift::TMemoryBuffer& out) {
     thrift::TMemoryBuffer in = thrift::TMemoryBuffer::wrap(request);
     thrift::TBinaryProtocol ip(in);
     auto head = ip.readMessageBegin();
 
-    thrift::TMemoryBuffer out;
     thrift::TBinaryProtocol op(out);
     auto it = methods_.find(head.name);
     if (it == methods_.end()) {
@@ -65,23 +91,28 @@ class HatDispatcher {
                            head.seqid);
       write_application_exception(op, 1 /*UNKNOWN_METHOD*/,
                                   "unknown method: " + head.name);
-      co_return out.take();
+      co_return;
     }
-    size_t consumed = request.size() - in.readable();
     // Undeclared exceptions escaping a handler become INTERNAL_ERROR
     // replies (Apache Thrift behaviour) rather than tearing down the
     // server's serve loop.
     op.writeMessageBegin(head.name, thrift::TMessageType::kReply,
                          head.seqid);
     try {
-      co_await it->second(request.subspan(consumed), out);
+      co_await it->second(in.unread(), out);
     } catch (const std::exception& e) {
       out.reset();
       op.writeMessageBegin(head.name, thrift::TMessageType::kException,
                            head.seqid);
       write_application_exception(op, 6 /*INTERNAL_ERROR*/, e.what());
     }
-    co_return out.take();
+  }
+
+  /// Writes the call envelope, then the args struct.
+  static void write_call(thrift::TProtocol& p, const std::string& method,
+                         int32_t seqid, const ArgsWriter& write_args) {
+    p.writeMessageBegin(method, thrift::TMessageType::kCall, seqid);
+    write_args(p);
   }
 
   /// Builds the call envelope around serialized args.
@@ -89,27 +120,50 @@ class HatDispatcher {
                           int32_t seqid) {
     thrift::TMemoryBuffer buf;
     thrift::TBinaryProtocol p(buf);
-    p.writeMessageBegin(method, thrift::TMessageType::kCall, seqid);
-    buf.write(args.data(), args.size());
+    write_call(p, method, seqid, [args](thrift::TProtocol& ap) {
+      ap.buffer().write(args.data(), args.size());
+    });
     return buf.take();
   }
 
-  /// Strips the reply envelope in place; throws TApplicationException on
-  /// error replies. Returns a copy of the serialized result struct bytes.
-  static Buffer parse_reply(View reply, const std::string& method) {
+  /// Checks the reply envelope against the call that was sent, then hands
+  /// the result struct to `read_result` in place (skipped when empty).
+  /// Throws TApplicationException for an error reply, a reply carrying
+  /// another call's seqid, one that is not a REPLY, or one for another
+  /// method.
+  static void read_reply(View reply, const std::string& method,
+                         int32_t seqid, const ResultReader& read_result) {
+    using Kind = thrift::TApplicationException::Kind;
     thrift::TMemoryBuffer buf = thrift::TMemoryBuffer::wrap(reply);
     thrift::TBinaryProtocol p(buf);
     auto head = p.readMessageBegin();
-    if (head.type == thrift::TMessageType::kException) {
+    if (head.seqid != seqid)
+      throw thrift::TApplicationException(
+          Kind::kBadSequenceId, "reply seqid " + std::to_string(head.seqid) +
+                                    ", expected " + std::to_string(seqid));
+    if (head.type == thrift::TMessageType::kException)
       throw read_application_exception(p);
-    }
+    if (head.type != thrift::TMessageType::kReply)
+      throw thrift::TApplicationException(
+          Kind::kInvalidMessageType,
+          "reply message type " + std::to_string(int(head.type)));
     if (head.name != method)
       throw thrift::TApplicationException(
-          thrift::TApplicationException::Kind::kWrongMethodName,
+          Kind::kWrongMethodName,
           "reply for '" + head.name + "', expected '" + method + "'");
-    size_t consumed = reply.size() - buf.readable();
-    View rest = reply.subspan(consumed);
-    return Buffer(rest.begin(), rest.end());
+    if (read_result) read_result(p);
+  }
+
+  /// read_reply() for byte-level callers: returns a copy of the serialized
+  /// result struct.
+  static Buffer parse_reply(View reply, const std::string& method,
+                            int32_t seqid) {
+    Buffer result;
+    read_reply(reply, method, seqid, [&result](thrift::TProtocol& p) {
+      View rest = p.buffer().unread();
+      result.assign(rest.begin(), rest.end());
+    });
+    return result;
   }
 
  private:
@@ -157,6 +211,10 @@ class MultiplexedCaller : public HatCaller {
 
   sim::Task<Buffer> call(std::string method, View payload) override {
     return inner_.call(prefix_ + method, payload);
+  }
+  sim::Task<void> call(std::string method, const ArgsWriter& write_args,
+                       const ResultReader& read_result) override {
+    return inner_.call(prefix_ + method, write_args, read_result);
   }
 
  private:

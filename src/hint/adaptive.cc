@@ -192,23 +192,25 @@ sim::Task<proto::Buffer> AdaptiveChannel::do_call(proto::View req,
 }
 
 sim::Task<proto::LeasedReply> AdaptiveChannel::do_call_leased(
-    proto::View req, uint32_t resp_size_hint) {
+    proto::Request req, uint32_t resp_size_hint) {
   auto ep = cur_;
   ++ep->inflight;
   sim_.rc_read(ep.get(), 0, "AdaptiveChannel.epoch", RC_HERE);
   const uint64_t stalls0 = epoch_stalls(*ep);
   const uint32_t live = ctrl_.call_begin();
-  proto::LeasedResult r = co_await ep->ch->call_leased(req, resp_size_hint);
+  const size_t req_size = req.size();
+  proto::LeasedResult r =
+      co_await ep->ch->call_leased(std::move(req), resp_size_hint);
   ctrl_.call_end();
   const bool stalled = epoch_stalls(*ep) > stalls0;
   if (!r) {
     leave_epoch(ep);
-    ctrl_.observe({req.size(), 0, stalled, live});
+    ctrl_.observe({req_size, 0, stalled, live});
     if (!ctrl_.frozen()) maybe_apply();
     throw r.error();
   }
   proto::LeasedReply reply = std::move(*r);
-  ctrl_.observe({req.size(), reply.bytes().size(), stalled, live});
+  ctrl_.observe({req_size, reply.bytes().size(), stalled, live});
   if (!ctrl_.frozen()) maybe_apply();
   if (!reply.in_place()) {
     leave_epoch(ep);

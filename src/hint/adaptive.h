@@ -164,7 +164,7 @@ class AdaptiveChannel : public proto::RpcChannel {
   sim::Task<proto::Buffer> do_call(proto::View req,
                                    uint32_t resp_size_hint) override;
   sim::Task<proto::LeasedReply> do_call_leased(
-      proto::View req, uint32_t resp_size_hint) override;
+      proto::Request req, uint32_t resp_size_hint) override;
 
  private:
   /// One plan generation: the concrete channel plus the in-flight count

@@ -411,29 +411,28 @@ class Generator {
       std::string ret = f.oneway ? "void" : cpp_type(f.ret);
       w_.open("hatrpc::sim::Task<" + ret + "> " + f.name + "(" +
               args_decl(f) + ") {");
-      w_.line("hatrpc::thrift::TMemoryBuffer _buf;");
-      w_.line("hatrpc::thrift::TBinaryProtocol _p(_buf);");
+      // The caller runs the writer wherever the args belong (a registered
+      // request slot, or a buffer) and the reader over the reply in place.
+      w_.open("const hatrpc::core::ArgsWriter _w = "
+              "[&](hatrpc::thrift::TProtocol& _p) {");
       emit_struct_fields_write(f.args, f.name + "_args");
-      w_.line("hatrpc::core::Buffer _reply = co_await caller_.call(\"" +
-              f.name + "\", _buf.view());");
+      w_.close("};");
       if (f.oneway) {
-        w_.line("(void)_reply;");
-        w_.line("co_return;");
+        w_.line("const hatrpc::core::ResultReader _r;");
+        w_.line("co_await caller_.call(\"" + f.name + "\", _w, _r);");
         w_.close();
         w_.line();
         continue;
       }
-      w_.line("hatrpc::thrift::TMemoryBuffer _rb = "
-              "hatrpc::thrift::TMemoryBuffer::wrap(_reply);");
-      w_.line("hatrpc::thrift::TBinaryProtocol _rp(_rb);");
       // Result struct: field 0 = success, declared throws by their ids.
       bool has_ret = f.ret.kind != TypeRef::Kind::kVoid;
-      if (has_ret) w_.line(cpp_type(f.ret) + " _success{};");
+      if (has_ret)
+        w_.line(cpp_type(f.ret) + " _success{}; bool _has_success = false;");
       for (const Field& t : f.throws)
         w_.line(cpp_type(t.type) + " " + t.name + "{}; bool _has_" + t.name +
                 " = false;");
-      w_.line("{");
-      w_.line("auto& _p = _rp;");
+      w_.open("const hatrpc::core::ResultReader _r = "
+              "[&](hatrpc::thrift::TProtocol& _p) {");
       w_.line("_p.readStructBegin();");
       w_.open("while (true) {");
       w_.line("auto _f = _p.readFieldBegin();");
@@ -443,6 +442,7 @@ class Generator {
         w_.open("if (_f.id == 0 && _f.type == " + tt(ttype_of(f.ret)) +
                 ") {");
         emit_read_value(f.ret, "_success");
+        w_.line("_has_success = true;");
         w_.line("_known = true;");
         w_.close();
       }
@@ -457,11 +457,22 @@ class Generator {
       w_.line("if (!_known) _p.skip(_f.type);");
       w_.close();
       w_.line("_p.readStructEnd();");
-      w_.line("}");
+      w_.close("};");
+      w_.line("co_await caller_.call(\"" + f.name + "\", _w, _r);");
       for (const Field& t : f.throws)
         w_.line("if (_has_" + t.name + ") throw " + t.name + ";");
-      if (has_ret) w_.line("co_return _success;");
-      else w_.line("co_return;");
+      if (has_ret) {
+        // Apache Thrift's MISSING_RESULT: a non-void reply with neither a
+        // result nor a declared exception.
+        w_.line("if (!_has_success)");
+        w_.line("  throw hatrpc::thrift::TApplicationException(");
+        w_.line("      hatrpc::thrift::TApplicationException::Kind::"
+                "kMissingResult,");
+        w_.line("      \"" + f.name + " failed: unknown result\");");
+        w_.line("co_return _success;");
+      } else {
+        w_.line("co_return;");
+      }
       w_.close();
       w_.line();
     }

@@ -579,8 +579,9 @@ void Cluster::stop() {
 
 Task<core::Buffer> ReliableCaller::call(std::string method,
                                         core::View payload) {
+  const int32_t seqid = ++seq_;
   core::Buffer envelope =
-      core::HatDispatcher::make_call(method, payload, ++seq_);
+      core::HatDispatcher::make_call(method, payload, seqid);
   co_await cpu_.compute(
       cfg_.serialize_fixed +
       sim::transfer_time(envelope.size(), cfg_.serialize_gbps));
@@ -590,7 +591,7 @@ Task<core::Buffer> ReliableCaller::call(std::string method,
   co_await cpu_.compute(
       cfg_.serialize_fixed +
       sim::transfer_time(reply.size(), cfg_.serialize_gbps));
-  co_return core::HatDispatcher::parse_reply(reply, method);
+  co_return core::HatDispatcher::parse_reply(reply, method, seqid);
 }
 
 ClusterClient::ClusterClient(verbs::Node& node, Cluster& cluster,

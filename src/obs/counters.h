@@ -59,6 +59,8 @@ enum class Ctr : uint8_t {
   kEpochSwaps,         // adaptive channels rebuilt for a new plan epoch
   kRecvLeases,         // responses delivered in place from the recv ring
   kRaceReports,        // race/lifetime diagnostics recorded by RaceCheck
+  kStagedBytes,  // host bytes memcpy'd into registered channel memory
+                 // (ChannelBase::stage); uncharged on Direct, unlike kCopyBytes
   kCount,
 };
 
@@ -107,6 +109,7 @@ constexpr const char* to_string(Ctr c) {
     case Ctr::kEpochSwaps: return "epoch_swaps";
     case Ctr::kRecvLeases: return "recv_leases";
     case Ctr::kRaceReports: return "race_reports";
+    case Ctr::kStagedBytes: return "staged_bytes";
     case Ctr::kCount: break;
   }
   return "unknown";

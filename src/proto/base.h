@@ -139,14 +139,25 @@ class ChannelBase : public RpcChannel {
   virtual sim::Task<void> serve() = 0;
   virtual void extra_shutdown() {}
 
-  /// Runs the user handler, wrapped in a virtual-time span when tracing.
-  sim::Task<Buffer> run_handler(View req) {
-    if (!obs_->tracer.enabled()) co_return co_await handler_(req);
+  /// Runs the user handler into `out`, wrapped in a virtual-time span when
+  /// tracing.
+  sim::Task<void> run_handler(View req, MemoryBuffer& out) {
+    if (!obs_->tracer.enabled()) {
+      co_await handler_(req, out);
+      co_return;
+    }
     const sim::Time t0 = sim_.now();
-    Buffer resp = co_await handler_(req);
+    co_await handler_(req, out);
     obs_->tracer.complete("handler", "rpc", t0, sim_.now() - t0, sv_.id(),
                           obs_channel_id());
-    co_return resp;
+  }
+
+  /// Runs the user handler into heap memory: the response of a protocol
+  /// that stages it afterwards.
+  sim::Task<Buffer> run_handler(View req) {
+    MemoryBuffer out;
+    co_await run_handler(req, out);
+    co_return out.take();
   }
 
   verbs::MemoryRegion* alloc_client_mr(size_t n) {
@@ -174,33 +185,43 @@ class ChannelBase : public RpcChannel {
 
   // ---- Payload staging ----------------------------------------------------
 
-  /// Copies `bytes` into registered channel memory at `dst`. Empty payloads
-  /// copy nothing (their data() may be null).
-  static void stage(std::byte* dst, View bytes) {
-    if (!bytes.empty()) std::memcpy(dst, bytes.data(), bytes.size());
+  /// Copies `bytes` into registered channel memory at `dst`, counting them
+  /// as staged. Empty payloads copy nothing (their data() may be null).
+  void stage(std::byte* dst, View bytes) {
+    if (bytes.empty()) return;
+    std::memcpy(dst, bytes.data(), bytes.size());
+    channel_counters()->add(obs::Ctr::kStagedBytes, bytes.size());
   }
 
-  /// Loads a borrowed request into `wr` as the frame [slot[0, hdr) | req];
-  /// the caller has already written the `hdr` header bytes at `slot`.
-  /// Staged mode copies `req` in behind them and posts one SGE from the
-  /// slot. Zero-copy mode gathers the frame from the slot header and the
-  /// caller's buffer: inline when it fits the doorbell, otherwise with `req`
-  /// registered through the client's MrCache. The caller keeps `req` valid
-  /// until the call resolves.
+  /// Loads a request into `wr` as the frame [slot[0, hdr) | req]; the
+  /// caller has already written the `hdr` header bytes at `slot`. Staged
+  /// mode puts `req` in behind them (a borrowed one is copied, a writer
+  /// runs in place) and posts one SGE from the slot. Zero-copy mode gathers
+  /// the frame from the slot header and the request's bytes (a writer
+  /// materializes them once): inline when it fits the doorbell, otherwise
+  /// with the bytes registered through the client's MrCache. The caller
+  /// keeps `req` alive until the call resolves.
   void load_request(verbs::SendWr& wr, std::byte* slot, uint32_t hdr,
-                    View req) {
+                    Request& req) {
     const uint32_t len = static_cast<uint32_t>(req.size());
     if (!cfg_.zero_copy) {
-      stage(slot + hdr, req);
+      if (req.borrowed()) stage(slot + hdr, req.view());
+      else req.write_to(slot + hdr);
       wr.local = {slot, hdr + len};
       return;
     }
+    View bytes = req.view();
     if (hdr > 0) wr.sg_list.push_back({slot, hdr});
     if (len > 0)
-      wr.sg_list.push_back({const_cast<std::byte*>(req.data()), len});
+      wr.sg_list.push_back({const_cast<std::byte*>(bytes.data()), len});
     wr.inline_data = hdr + len <= cep_.qp->max_inline_data();
     if (!wr.inline_data && len > 0)
-      cl_.pd().mr_cache().get(req.data(), len, channel_counters());
+      cl_.pd().mr_cache().get(bytes.data(), len, channel_counters());
+  }
+  void load_request(verbs::SendWr& wr, std::byte* slot, uint32_t hdr,
+                    View req) {
+    Request r(req);
+    load_request(wr, slot, hdr, r);
   }
 
   /// Exposes a borrowed request for the server to READ: staged mode copies
@@ -216,19 +237,19 @@ class ChannelBase : public RpcChannel {
     return {reinterpret_cast<uint64_t>(req.data()), mr->rkey()};
   }
 
-  /// Loads an owned response into `wr`. Zero-copy mode posts a response
-  /// that fits the doorbell inline from the handler's Buffer (snapshotted
-  /// at post time, so the Buffer may die right after). Otherwise it is
-  /// staged into `slot`: the WQE reads its bytes when it executes, after
-  /// the handler's Buffer is gone.
-  void load_response(verbs::SendWr& wr, std::byte* slot, Buffer& resp) {
+  /// Loads a handler's response into `wr`. Zero-copy mode posts a response
+  /// that fits the doorbell inline (snapshotted at post time, so its memory
+  /// may die right after). Otherwise it is sent from `slot`: the WQE reads
+  /// its bytes when it executes, after the handler's buffer is gone. A
+  /// response the handler wrote into `slot` in place is not staged again.
+  void load_response(verbs::SendWr& wr, std::byte* slot, View resp) {
     const uint32_t len = static_cast<uint32_t>(resp.size());
     wr.inline_data = cfg_.zero_copy && len <= sep_.qp->max_inline_data();
     if (wr.inline_data) {
-      wr.local = {resp.data(), len};
+      wr.local = {const_cast<std::byte*>(resp.data()), len};
       return;
     }
-    stage(slot, resp);
+    if (resp.data() != slot) stage(slot, resp);
     wr.local = {slot, len};
   }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "proto/error.h"
+#include "proto/membuf.h"
 #include "proto/result.h"
 #include "sim/rc_annotate.h"
 #include "sim/task.h"
@@ -39,9 +40,66 @@ using View = std::span<const std::byte>;
 /// error the reliability layer keys retries off.
 using CallResult = Result<Buffer, RpcError>;
 
-/// Server-side request processor. Runs on the server node; implementations
-/// charge their own compute via the node's Cpu.
-using Handler = std::function<sim::Task<Buffer>(View)>;
+/// Server-side request processor (Thrift's TProcessor::process(in, out)
+/// shape): reads the request and writes its response into `out`. Runs on the
+/// server node; implementations charge their own compute via the node's Cpu.
+/// Direct channels back `out` with the call's slot of the registered
+/// response buffer, so a response that fits is sent from where it was
+/// written; every other protocol hands a heap buffer and stages from it.
+using Handler = std::function<sim::Task<void>(View req, MemoryBuffer& out)>;
+
+/// Writes a request frame into the buffer it is handed.
+using RequestWriter = std::function<void(MemoryBuffer&)>;
+
+/// What call_leased() sends: borrowed bytes, or a writer of a frame whose
+/// size is known up front. A channel that stages requests in registered
+/// memory runs the writer straight into its slot; every other path
+/// materializes it once (view()). A writer is borrowed too, so both must
+/// outlive the call.
+class Request {
+ public:
+  Request(View bytes) : bytes_(bytes), size_(bytes.size()) {}
+  Request(const Buffer& bytes) : Request(View(bytes)) {}
+  Request(size_t size, const RequestWriter& write)
+      : size_(size), write_(&write) {}
+
+  size_t size() const { return size_; }
+  bool borrowed() const { return write_ == nullptr; }
+
+  /// Runs the writer straight into `dst`, which holds size() bytes.
+  void write_to(std::byte* dst) const {
+    MemoryBuffer out = MemoryBuffer::backed({dst, size_});
+    (*write_)(out);
+    check(out);
+  }
+
+  /// The frame as contiguous bytes; a writer runs once, into heap memory
+  /// this Request owns.
+  View view() {
+    if (write_) {
+      MemoryBuffer out;
+      (*write_)(out);
+      check(out);
+      owned_ = out.take();
+      bytes_ = owned_;
+      write_ = nullptr;
+    }
+    return bytes_;
+  }
+
+ private:
+  void check(const MemoryBuffer& out) const {
+    if (out.size() != size_)
+      throw std::logic_error("request writer produced " +
+                             std::to_string(out.size()) + " bytes, sized " +
+                             std::to_string(size_));
+  }
+
+  View bytes_{};
+  size_t size_ = 0;
+  const RequestWriter* write_ = nullptr;
+  Buffer owned_;
+};
 
 /// The protocols of Fig. 3 plus the baseline/comparator emulations.
 enum class ProtocolKind : uint8_t {
@@ -247,9 +305,11 @@ class RpcChannel {
   sim::Task<CallResult> call(View req, uint32_t resp_size_hint = 0);
 
   /// Like call(), but the response may be delivered in place from the
-  /// channel's recv ring (zero-copy receive). Protocols without an in-place
-  /// path fall back to call() semantics with an owned buffer.
-  sim::Task<LeasedResult> call_leased(View req, uint32_t resp_size_hint = 0);
+  /// channel's recv ring (zero-copy receive), and the request may be a
+  /// sized writer (see Request). Protocols without an in-place path fall
+  /// back to call() semantics with an owned buffer.
+  sim::Task<LeasedResult> call_leased(Request req,
+                                      uint32_t resp_size_hint = 0);
 
   /// Stops the server-side serve loop(s) so the simulation can drain.
   virtual void shutdown() = 0;
@@ -290,11 +350,12 @@ class RpcChannel {
   /// (the call() wrapper folds those into the Result).
   virtual sim::Task<Buffer> do_call(View req, uint32_t resp_size_hint) = 0;
 
-  /// Protocol-specific leased-call body; the default materializes through
-  /// do_call. Overrides deliver single-segment responses in place.
-  virtual sim::Task<LeasedReply> do_call_leased(View req,
+  /// Protocol-specific leased-call body; the default materializes the
+  /// request and the response through do_call. Overrides deliver
+  /// single-segment responses in place.
+  virtual sim::Task<LeasedReply> do_call_leased(Request req,
                                                 uint32_t resp_size_hint) {
-    co_return LeasedReply(co_await do_call(req, resp_size_hint));
+    co_return LeasedReply(co_await do_call(req.view(), resp_size_hint));
   }
 
   /// Hooks this channel into the fabric's observability layer: allocates a
@@ -365,7 +426,7 @@ inline sim::Task<CallResult> RpcChannel::call(View req,
 }
 
 inline sim::Task<LeasedResult> RpcChannel::call_leased(
-    View req, uint32_t resp_size_hint) {
+    Request req, uint32_t resp_size_hint) {
   ++stats_.calls;
   InflightGuard gauge(inflight_gauge_);
   if (inflight_gauge_ && sim_clock_)
@@ -373,7 +434,8 @@ inline sim::Task<LeasedResult> RpcChannel::call_leased(
   const bool trace = obs_ && obs_->tracer.enabled();
   const sim::Time t0 = trace ? sim_clock_->now() : sim::Time{};
   try {
-    LeasedReply resp = co_await do_call_leased(req, resp_size_hint);
+    LeasedReply resp =
+        co_await do_call_leased(std::move(req), resp_size_hint);
     if (trace)
       obs_->tracer.complete("call/" + std::string(to_string(kind())), "rpc",
                             t0, sim_clock_->now() - t0, obs_pid_, obs_id_);

@@ -25,16 +25,18 @@ namespace hatrpc::proto {
 class DirectChannel : public ChannelBase {
  protected:
   sim::Task<Buffer> do_call(View req, uint32_t resp_size_hint) override {
-    LeasedReply r = co_await do_call_leased(req, resp_size_hint);
+    LeasedReply r = co_await do_call_leased(Request(req), resp_size_hint);
     View v = r.bytes();
     co_return Buffer(v.begin(), v.end());
   }
 
-  /// The response is handed out in place: a view into this call's slot of
-  /// the client's pre-known response buffer. The slot stays out of the
-  /// window until the lease is released, so no later call overwrites it.
+  /// The request is loaded into this call's slot of the client's request
+  /// buffer (a writer serializes straight into it), and the response is
+  /// handed out in place: a view into the call's slot of the client's
+  /// pre-known response buffer. The slot stays out of the window until the
+  /// lease is released, so no later call overwrites it.
   sim::Task<LeasedReply> do_call_leased(
-      View req, uint32_t /*resp_size_hint*/) override {
+      Request req, uint32_t /*resp_size_hint*/) override {
     if (req.size() > cfg_.max_msg)
       throw std::length_error("direct protocol: request exceeds the "
                               "pre-known buffer");
@@ -147,14 +149,19 @@ class DirectChannel : public ChannelBase {
     }
   }
 
+  /// The handler writes its response straight into this call's slot of the
+  /// registered response buffer, which the WRITE then sends from; only a
+  /// response that outgrows the slot spills to the heap (and is refused).
   sim::Task<void> serve_one(uint32_t slot, uint32_t len) {
     const size_t off = slot * size_t(cfg_.max_msg);
-    Buffer resp = co_await run_handler(View{srv_req_buf_->data() + off, len});
-    if (resp.size() > cfg_.max_msg)
+    std::byte* resp_slot = srv_resp_src_->data() + off;
+    MemoryBuffer out = MemoryBuffer::backed({resp_slot, cfg_.max_msg});
+    co_await run_handler(View{srv_req_buf_->data() + off, len}, out);
+    if (out.size() > cfg_.max_msg)
       throw std::length_error("direct protocol: response exceeds the "
                               "pre-known buffer");
     verbs::SendWr wr;
-    load_response(wr, srv_resp_src_->data() + off, resp);
+    load_response(wr, resp_slot, out.view());
     co_await push(sep_.qp, wr, cli_resp_buf_->remote(off), slot,
                   srv_notify_src_);
   }

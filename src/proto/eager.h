@@ -38,11 +38,11 @@ class EagerChannel : public ChannelBase {
   /// reposted when the LeasedReply dies. Every outstanding lease parks one
   /// of the pipe's eager_slots recvs, so leased delivery is only offered
   /// while the window cannot park more than half the ring.
-  sim::Task<LeasedReply> do_call_leased(View req,
+  sim::Task<LeasedReply> do_call_leased(Request req,
                                         uint32_t resp_size_hint) override {
     if (2 * cfg_.window > cfg_.eager_slots)
-      co_return LeasedReply(co_await do_call(req, resp_size_hint));
-    EagerPipe::Msg m = co_await exchange(req, /*lease=*/true);
+      co_return LeasedReply(co_await do_call(req.view(), resp_size_hint));
+    EagerPipe::Msg m = co_await exchange(req.view(), /*lease=*/true);
     if (!m.in_place()) co_return LeasedReply(std::move(m.owned));
     cl_.counters().add(obs::Ctr::kRecvLeases);
     if (auto* c = channel_counters()) c->add(obs::Ctr::kRecvLeases);

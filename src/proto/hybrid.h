@@ -67,11 +67,12 @@ class HybridChannel : public RpcChannel {
     co_return std::move(*r);
   }
 
-  sim::Task<LeasedReply> do_call_leased(View req,
+  sim::Task<LeasedReply> do_call_leased(Request req,
                                         uint32_t resp_size_hint) override {
     size_t decisive = std::max<size_t>(req.size(), resp_size_hint);
     RpcChannel& path = decisive <= threshold_ ? *eager_ : *rndv_;
-    LeasedResult r = co_await path.call_leased(req, resp_size_hint);
+    LeasedResult r = co_await path.call_leased(std::move(req),
+                                               resp_size_hint);
     if (!r) throw r.error();
     co_return std::move(*r);
   }

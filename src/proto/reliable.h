@@ -213,7 +213,8 @@ class ReliableChannel : public RpcChannel {
     obs::CounterSet* chan = channel_counters();
     obs::CounterSet* node = &sv_.counters();
     sim::Simulator* rsim = &sim_;
-    return [dedupe, user, chan, node, rsim](View req) -> sim::Task<Buffer> {
+    return [dedupe, user, chan, node, rsim](
+               View req, MemoryBuffer& out) -> sim::Task<void> {
       RpcHeader h = get_rpc_header(req.data());
       // Relaxed per-seq access: concurrent executions of a retried seq are
       // racy by design — whichever finishes first populates the cache and
@@ -223,16 +224,17 @@ class ReliableChannel : public RpcChannel {
         ++dedupe->replays;
         chan->add(obs::Ctr::kReplays);
         node->add(obs::Ctr::kReplays);
-        co_return it->second;
+        out.write(it->second.data(), it->second.size());
+        co_return;
       }
-      Buffer resp = co_await user(req.subspan(kRpcHeaderBytes, h.len));
-      dedupe->cache.emplace(h.seq, resp);
+      co_await user(req.subspan(kRpcHeaderBytes, h.len), out);
+      View resp = out.view();
+      dedupe->cache.emplace(h.seq, Buffer(resp.begin(), resp.end()));
       dedupe->order.push_back(h.seq);
       while (dedupe->order.size() > DedupeState::kMaxCached) {
         dedupe->cache.erase(dedupe->order.front());
         dedupe->order.pop_front();
       }
-      co_return resp;
     };
   }
 

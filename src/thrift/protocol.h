@@ -8,10 +8,12 @@
 #include <string>
 #include <string_view>
 
-#include "thrift/buffer.h"
+#include "proto/membuf.h"
 #include "thrift/ttypes.h"
 
 namespace hatrpc::thrift {
+
+using TMemoryBuffer = proto::MemoryBuffer;
 
 class TProtocol {
  public:

@@ -8,13 +8,16 @@
 #include <memory>
 #include <vector>
 
+#include "proto/channel.h"
 #include "sim/sync.h"
+#include "thrift/protocol.h"
 #include "thrift/transport.h"
 
 namespace hatrpc::thrift {
 
-/// Handles one serialized request message, returning the serialized reply.
-using Processor = std::function<sim::Task<Buffer>(View)>;
+/// Handles one serialized request message, writing the serialized reply
+/// into its second argument (the channels' proto::Handler shape).
+using Processor = proto::Handler;
 
 enum class ServerKind { kSimple, kThreaded, kThreadPool };
 
@@ -82,14 +85,15 @@ class TServer {
       if (opts_.kind == ServerKind::kThreadPool) co_await pool_.acquire();
       node_.counters().add(obs::Ctr::kRequests);
       const sim::Time t0 = net_.simulator().now();
-      Buffer resp = co_await processor_(*req);
+      TMemoryBuffer resp;
+      co_await processor_(*req, resp);
       if (obs.tracer.enabled())
         obs.tracer.complete("tserver/request", "thrift", t0,
                             net_.simulator().now() - t0, node_.id(), conn_id);
       if (opts_.kind == ServerKind::kThreadPool) pool_.release();
       ++served_;
       try {
-        co_await framed.send(resp);
+        co_await framed.send(resp.view());
       } catch (const TTransportException&) {
         break;
       }

@@ -34,9 +34,9 @@ using sim::Task;
 using namespace std::chrono_literals;
 
 Handler echo_handler(verbs::Node& server) {
-  return [&server](View req) -> Task<Buffer> {
+  return [&server](View req, proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(200ns);
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 
@@ -233,12 +233,12 @@ TEST(AdaptiveChannel, ResizeWindowBoundsConcurrencyWithoutRebuilding) {
   verbs::Node* sv = fabric.add_node();
   ChannelConfig cfg = ChannelConfig{}.with_window(8);
   int live = 0, peak = 0;
-  Handler gauge = [&](View req) -> Task<Buffer> {
+  Handler gauge = [&](View req, proto::MemoryBuffer& out) -> Task<void> {
     ++live;
     if (live > peak) peak = live;
     co_await sv->cpu().compute(2us);
     --live;
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
   auto ch = proto::make_channel(ProtocolKind::kEagerSendRecv, *cl, *sv,
                                 gauge, cfg);

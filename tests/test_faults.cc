@@ -34,8 +34,9 @@ using verbs::FaultPlan;
 using namespace std::chrono_literals;
 
 proto::Handler echo_handler() {
-  return [](View req) -> Task<Buffer> {
-    co_return Buffer(req.begin(), req.end());
+  return [](View req, proto::MemoryBuffer& out) -> Task<void> {
+    out.write(req.data(), req.size());
+    co_return;
   };
 }
 
@@ -160,10 +161,11 @@ TEST(Faults, TimedOutAttemptIsReplayedNotReexecuted) {
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
   int executed = 0;
-  proto::Handler slow = [&sim, &executed](View req) -> Task<Buffer> {
+  proto::Handler slow = [&sim, &executed](
+                            View req, proto::MemoryBuffer& out) -> Task<void> {
     ++executed;
     co_await sim.sleep(30us);  // response outstanding when the QP dies
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
   RetryPolicy pol;
   pol.backoff_base = 50us;  // retry lands after the handler finished
@@ -310,10 +312,11 @@ TEST(Faults, ReplayCacheSuppressesRetriesAcrossCrashAndReconnectEpochs) {
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
   int executed = 0;
-  proto::Handler slow = [&sim, &executed](View req) -> Task<Buffer> {
+  proto::Handler slow = [&sim, &executed](
+                            View req, proto::MemoryBuffer& out) -> Task<void> {
     ++executed;
     co_await sim.sleep(30us);  // response still pending at crash time
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
   RetryPolicy pol;
   pol.max_attempts = 6;

@@ -154,6 +154,40 @@ TEST_F(GeneratedFixture, GeneratedHintsDrivePlanSelection) {
                                         // the res_util Write-RNDV channel
 }
 
+/// Answers every call with an empty result struct: a field stop alone.
+class EmptyResultCaller : public hatrpc::core::HatCaller {
+ public:
+  Task<hatrpc::core::Buffer> call(std::string,
+                                  hatrpc::core::View) override {
+    hatrpc::core::Buffer stop(1, std::byte{0});  // TType::kStop
+    co_return stop;
+  }
+};
+
+TEST(GeneratedStub, EmptyResultOfNonVoidCallThrowsMissingResult) {
+  Simulator sim;
+  EmptyResultCaller caller;
+  genkv::GenKVClient client(caller);
+  bool threw = false;
+  bool void_ok = false;
+  sim.spawn([](genkv::GenKVClient& client, bool& threw,
+               bool& void_ok) -> Task<void> {
+    try {
+      co_await client.Fetch("k");
+    } catch (const hatrpc::thrift::TApplicationException& e) {
+      threw = e.kind() ==
+              hatrpc::thrift::TApplicationException::Kind::kMissingResult;
+    }
+    // A void function has no result to miss.
+    const genkv::Record rec;
+    co_await client.Store(rec);
+    void_ok = true;
+  }(client, threw, void_ok));
+  sim.run();
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(void_ok);
+}
+
 TEST_F(GeneratedFixture, HugeDeclaredListSizeIsRejectedWithoutAllocating) {
   // Stats args whose `which` list claims 2^31 - 1 strings but carries none.
   hatrpc::thrift::TMemoryBuffer args;
@@ -166,10 +200,10 @@ TEST_F(GeneratedFixture, HugeDeclaredListSizeIsRejectedWithoutAllocating) {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   const long before_kb = ru.ru_maxrss;
-  hatrpc::core::Buffer reply;
+  hatrpc::thrift::TMemoryBuffer reply;
   sim.spawn([](GeneratedFixture* self, hatrpc::core::View in,
-               hatrpc::core::Buffer* out) -> Task<void> {
-    *out = co_await self->server.dispatcher().process(in);
+               hatrpc::thrift::TMemoryBuffer* out) -> Task<void> {
+    co_await self->server.dispatcher().process(in, *out);
     self->server.stop();
   }(this, call, &reply));
   sim.run();
@@ -177,7 +211,7 @@ TEST_F(GeneratedFixture, HugeDeclaredListSizeIsRejectedWithoutAllocating) {
   EXPECT_LT(ru.ru_maxrss - before_kb, 64L * 1024) << "peak RSS grew (KiB)";
 
   try {
-    hatrpc::core::HatDispatcher::parse_reply(reply, "Stats");
+    hatrpc::core::HatDispatcher::parse_reply(reply.view(), "Stats", 1);
     FAIL() << "hostile list size produced a normal reply";
   } catch (const hatrpc::thrift::TApplicationException& e) {
     EXPECT_EQ(e.kind(),

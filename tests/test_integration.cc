@@ -20,10 +20,10 @@ using sim::Task;
 using namespace std::chrono_literals;
 
 proto::Handler work_handler(verbs::Node& server) {
-  return [&server](proto::View req) -> Task<proto::Buffer> {
+  return [&server](proto::View req, proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(1us +
                                   sim::transfer_time(req.size(), 20.0));
-    co_return proto::Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 

@@ -36,8 +36,9 @@ struct Bed {
 };
 
 proto::Handler echo_handler() {
-  return [](View req) -> Task<Buffer> {
-    co_return Buffer(req.begin(), req.end());
+  return [](View req, proto::MemoryBuffer& out) -> Task<void> {
+    out.write(req.data(), req.size());
+    co_return;
   };
 }
 
@@ -179,9 +180,10 @@ TEST(Pipeline, WindowedThroughputBeatsSerialByFourTimes) {
     Bed bed;
     ChannelConfig cfg;
     cfg.with_poll(PollMode::kBusy).with_max_msg(4096).with_window(window);
-    proto::Handler handler = [&bed](View req) -> Task<Buffer> {
+    proto::Handler handler = [&bed](View req,
+                                    proto::MemoryBuffer& out) -> Task<void> {
       co_await bed.sv->cpu().compute(1us);
-      co_return Buffer(req.begin(), req.end());
+      out.write(req.data(), req.size());
     };
     auto ch = proto::make_channel(ProtocolKind::kDirectWriteImm, *bed.cl,
                                   *bed.sv, handler, cfg);

@@ -32,14 +32,13 @@ constexpr ProtocolKind kAllProtocols[] = {
 /// Echo handler that upper-cases the payload so tests prove bytes really
 /// travelled through the server (and charges a small per-byte compute).
 Handler make_upcase_handler(verbs::Node& server) {
-  return [&server](View req) -> Task<Buffer> {
+  return [&server](View req, proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(200ns + sim::Duration(req.size() / 16));
-    Buffer out(req.begin(), req.end());
-    for (auto& b : out) {
+    for (std::byte b : req) {
       char c = static_cast<char>(b);
       if (c >= 'a' && c <= 'z') b = static_cast<std::byte>(c - 32);
+      out.write(&b, 1);
     }
-    co_return out;
   };
 }
 

@@ -45,9 +45,9 @@ std::vector<Time> trace_workload(Mode mode, uint64_t tiebreak) {
   verbs::Node* sv = fabric.add_node();
   auto ch = proto::make_channel(
       proto::ProtocolKind::kEagerSendRecv, *cl, *sv,
-      [sv](View req) -> Task<Buffer> {
+      [sv](View req, proto::MemoryBuffer& out) -> Task<void> {
         co_await sv->cpu().compute(200ns);
-        co_return Buffer(req.begin(), req.end());
+        out.write(req.data(), req.size());
       },
       proto::ChannelConfig{.window = 2});
 

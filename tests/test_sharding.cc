@@ -18,9 +18,10 @@ using namespace std::chrono_literals;
 using sim::Task;
 
 proto::Handler echo_handler(verbs::Node& server, int core = -1) {
-  return [&server, core](proto::View req) -> Task<proto::Buffer> {
+  return [&server, core](proto::View req,
+                         proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(1000ns, core);
-    co_return proto::Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 

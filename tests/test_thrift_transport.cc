@@ -156,9 +156,9 @@ TEST(FramedTransport, MessageBoundariesPreserved) {
 }
 
 Processor echo_processor(verbs::Node& node) {
-  return [&node](View req) -> Task<Buffer> {
+  return [&node](View req, proto::MemoryBuffer& out) -> Task<void> {
     co_await node.cpu().compute(500ns);
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 
@@ -216,12 +216,12 @@ TEST(TServer, SimpleServerSerializesConnections) {
 TEST(TServer, ThreadPoolBoundsConcurrency) {
   Net n;
   int in_handler = 0, max_in_handler = 0;
-  Processor slow = [&](View req) -> Task<Buffer> {
+  Processor slow = [&](View req, proto::MemoryBuffer& out) -> Task<void> {
     ++in_handler;
     max_in_handler = std::max(max_in_handler, in_handler);
     co_await n.sim.sleep(100us);
     --in_handler;
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
   TServer server(n.net, *n.b, 7, slow,
                  {.kind = ServerKind::kThreadPool, .pool_workers = 2});
@@ -304,12 +304,12 @@ TEST(TRdma, SocketCompatibleProgrammingModel) {
   verbs::Fabric fabric(sim);
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
-  TServerRdma server(*sv, [sv](proto::View req) -> Task<proto::Buffer> {
+  TServerRdma server(*sv, [sv](proto::View req,
+                               proto::MemoryBuffer& out) -> Task<void> {
     co_await sv->cpu().compute(300ns);
     std::string s(reinterpret_cast<const char*>(req.data()), req.size());
     s = "echo:" + s;
-    auto* p = reinterpret_cast<const std::byte*>(s.data());
-    co_return proto::Buffer(p, p + s.size());
+    out.write(s.data(), s.size());
   });
   TRdmaEndPoint* ep =
       server.accept(*cl, proto::ProtocolKind::kDirectWriteImm, {});
@@ -340,8 +340,10 @@ TEST(TRdma, WorksOverEveryProtocolKind) {
     verbs::Fabric fabric(sim);
     verbs::Node* cl = fabric.add_node();
     verbs::Node* sv = fabric.add_node();
-    TServerRdma server(*sv, [](proto::View req) -> Task<proto::Buffer> {
-      co_return proto::Buffer(req.begin(), req.end());
+    TServerRdma server(*sv, [](proto::View req,
+                               proto::MemoryBuffer& out) -> Task<void> {
+      out.write(req.data(), req.size());
+      co_return;
     });
     TRdmaEndPoint* ep = server.accept(*cl, kind, {});
     bool ok = false;
@@ -369,8 +371,10 @@ TEST(TRdmaTransport, HandshakeEstablishesEndpointOverTcp) {
   verbs::Node* cl = fabric.add_node();
   verbs::Node* sv = fabric.add_node();
   TRdmaTransport transport(net, *sv, 7000,
-                           [](proto::View req) -> Task<proto::Buffer> {
-                             co_return proto::Buffer(req.begin(), req.end());
+                           [](proto::View req,
+                              proto::MemoryBuffer& out) -> Task<void> {
+                             out.write(req.data(), req.size());
+                             co_return;
                            });
   std::string got;
   sim::Time handshake_done{};
@@ -398,8 +402,10 @@ TEST(TRdmaTransport, ManyClientsHandshakeConcurrently) {
   SocketNet net(fabric);
   verbs::Node* sv = fabric.add_node();
   TRdmaTransport transport(net, *sv, 7001,
-                           [](proto::View req) -> Task<proto::Buffer> {
-                             co_return proto::Buffer(req.begin(), req.end());
+                           [](proto::View req,
+                              proto::MemoryBuffer& out) -> Task<void> {
+                             out.write(req.data(), req.size());
+                             co_return;
                            });
   int ok = 0;
   sim::WaitGroup wg(sim);
@@ -485,8 +491,10 @@ HandshakeOutcome hostile_then_valid(const proto::Buffer& wire,
   verbs::Node* sv = fabric.add_node();
   verbs::Node* cl = fabric.add_node();
   TRdmaTransport transport(net, *sv, 7100,
-                           [](proto::View req) -> Task<proto::Buffer> {
-                             co_return proto::Buffer(req.begin(), req.end());
+                           [](proto::View req,
+                              proto::MemoryBuffer& out) -> Task<void> {
+                             out.write(req.data(), req.size());
+                             co_return;
                            });
   HandshakeOutcome out;
   sim.spawn([](SocketNet& net, TRdmaTransport& transport, verbs::Node* cl,

@@ -29,9 +29,9 @@ using sim::Task;
 using namespace std::chrono_literals;
 
 Handler echo_handler(verbs::Node& server) {
-  return [&server](View req) -> Task<Buffer> {
+  return [&server](View req, proto::MemoryBuffer& out) -> Task<void> {
     co_await server.cpu().compute(200ns);
-    co_return Buffer(req.begin(), req.end());
+    out.write(req.data(), req.size());
   };
 }
 

@@ -2,9 +2,9 @@
 // sharded per core, under a 1→1024-client closed-loop sweep. Each config is
 // a fresh deterministic simulation: clients (event-polled, spread over
 // client nodes) drive Direct-WriteIMM channels against a TServerRdma whose
-// shard count, polling discipline and per-channel window are swept. The
-// handler charges its compute on the shard's pinned core, so the run
-// reproduces the three regimes the CPU model predicts:
+// shard count, polling discipline and per-channel window are swept. Bound
+// shards charge handler compute on their pinned core, so the run reproduces
+// the three regimes the CPU model predicts:
 //
 //   knee      per-shard scaling stops when the pinned cores saturate
 //             (concurrent handlers on one core stretch under processor
@@ -14,19 +14,23 @@
 //   crossover past the collapse point event polling (which frees the core
 //             between completions) overtakes busy polling.
 //
+// Every sweep also runs the reference series: one unbound shard, whose
+// handler compute floats across all cores. Each series carries "bound", so
+// the reference stays distinct from the bound 1-shard series.
+//
 // Not a google-benchmark binary: same-seed runs must be byte-identical, so
 // the JSON contains only virtual-time-derived numbers (wall-clock goes to
 // stdout only) and CI cmp's two runs of the reduced sweep.
 //
 //   bench_scalability --seed 1 --out BENCH_scalability.json
-//     [--clients 1,4,...] [--windows 1,32] [--shards 0,1,...]
+//     [--clients 1,4,...] [--windows 1,32] [--shards 1,4,...]
 //     [--ops-per-client 40] [--bytes 128]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,9 +48,9 @@ struct Options {
   uint64_t seed = 1;
   std::vector<uint32_t> clients = {1, 4, 16, 64, 256, 1024};
   std::vector<uint32_t> windows = {1, 32};
-  // 0 = the legacy unsharded server (pre-sharding baseline); the tail value
-  // over-subscribes the 28 simulated cores to provoke the collapse.
-  std::vector<uint32_t> shards = {0, 1, 4, 8, 16, 28, 56};
+  // Bound shard counts; the tail value over-subscribes the 28 simulated
+  // cores to provoke the collapse.
+  std::vector<uint32_t> shards = {1, 4, 8, 16, 28, 56};
   uint32_t ops_per_client = 40;
   uint32_t bytes = 128;
   uint32_t max_msg = 1024;
@@ -56,6 +60,7 @@ struct Options {
 
 struct Row {
   uint32_t shards = 0;
+  bool bound = false;
   sim::PollMode mode = sim::PollMode::kBusy;
   uint32_t window = 1;
   uint32_t clients = 1;
@@ -73,7 +78,7 @@ const char* mode_name(sim::PollMode m) {
   return m == sim::PollMode::kBusy ? "busy" : "event";
 }
 
-// Handler compute pinned to the shard's core (-1 = legacy floating): a fixed
+// Handler compute pinned to the shard's core (-1 = floating): a fixed
 // dispatch cost plus a payload-proportional term, the same work model the
 // figure benchmarks use.
 proto::Handler pinned_handler(verbs::Node& server, int core) {
@@ -85,8 +90,8 @@ proto::Handler pinned_handler(verbs::Node& server, int core) {
   };
 }
 
-Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
-               uint32_t window, uint32_t clients) {
+Row run_config(const Options& opt, uint32_t shards, bool bound,
+               sim::PollMode mode, uint32_t window, uint32_t clients) {
   sim::Simulator sim;
   verbs::Fabric fabric(sim);
   verbs::Node* server = fabric.add_node();
@@ -99,24 +104,15 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
   thrift::TServerRdma::Options so;
   so.shards = shards;
   so.steering = thrift::Steering::kRoundRobin;
-  so.bind_cores = shards > 0;
+  so.bind_cores = bound;
   // Per-SRQ depth covers the shard's worst-case concurrent inbound burst
   // (its share of the connections, window deep each); channels replenish
   // consumed tokens, so the depth never needs to grow mid-run.
-  const uint32_t per_shard_conns =
-      shards > 0 ? (clients + shards - 1) / shards : clients;
-  so.srq_depth = per_shard_conns * window + 64;
-
-  std::optional<thrift::TServerRdma> srv;
-  if (shards == 0) {
-    srv.emplace(*server, pinned_handler(*server, -1), so);
-  } else {
-    thrift::TServerRdma::ShardProcessorFactory factory =
-        [server](uint32_t, int core, proto::BufferPool*) {
-          return pinned_handler(*server, core);
-        };
-    srv.emplace(*server, factory, so);
-  }
+  so.srq_depth = (clients + shards - 1) / shards * window + 64;
+  thrift::TServerRdma srv(
+      *server,
+      [server](uint32_t, int core) { return pinned_handler(*server, core); },
+      so);
 
   proto::ChannelConfig cfg;
   cfg.with_client_poll(sim::PollMode::kEvent)  // keep client CPU out of the
@@ -125,8 +121,8 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
       .with_max_msg(opt.max_msg);
   std::vector<thrift::TRdmaEndPoint*> eps;
   for (uint32_t c = 0; c < clients; ++c)
-    eps.push_back(srv->accept(*client_nodes[c / opt.clients_per_node],
-                              proto::ProtocolKind::kDirectWriteImm, cfg));
+    eps.push_back(srv.accept(*client_nodes[c / opt.clients_per_node],
+                             proto::ProtocolKind::kDirectWriteImm, cfg));
 
   // A window needs enough calls per client to actually fill it.
   const uint32_t iters = std::max(opt.ops_per_client, 2 * window);
@@ -157,13 +153,14 @@ Row run_config(const Options& opt, uint32_t shards, sim::PollMode mode,
     co_await wg.wait();
     end = sim.now();
     srv.stop();
-  }(sim, wg, end, *srv));
+  }(sim, wg, end, srv));
 
   auto t0 = std::chrono::steady_clock::now();
   sim.run();
 
   Row row;
   row.shards = shards;
+  row.bound = bound;
   row.mode = mode;
   row.window = window;
   row.clients = clients;
@@ -191,8 +188,16 @@ std::string fmt(double v) {
   return buf;
 }
 
-using SeriesKey = std::tuple<uint32_t, sim::PollMode, uint32_t>;  // shards,
-                                                                  // mode, win
+// (bound, shards, mode, window): the unbound reference sorts first.
+using SeriesKey = std::tuple<bool, uint32_t, sim::PollMode, uint32_t>;
+
+// The series' identifying fields, shared by its "series" and "knees" rows.
+std::string series_label(const SeriesKey& key) {
+  return "\"shards\":" + std::to_string(std::get<1>(key)) +
+         ",\"bound\":" + (std::get<0>(key) ? "true" : "false") +
+         ",\"mode\":\"" + mode_name(std::get<2>(key)) +
+         "\",\"window\":" + std::to_string(std::get<3>(key));
+}
 
 /// First client count whose throughput falls below 80% of the linear
 /// extrapolation from the smallest point — the saturation knee. 0 = the
@@ -258,7 +263,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
             }) ||
         eat("--shards",
             [&](const char* v) {
-              if (!parse_list(v, opt.shards))
+              if (!parse_list(v, opt.shards) ||
+                  std::find(opt.shards.begin(), opt.shards.end(), 0u) !=
+                      opt.shards.end())
                 throw std::runtime_error("bad --shards list");
             }) ||
         eat("--ops-per-client",
@@ -281,30 +288,35 @@ int main(int argc, char** argv) {
   Options opt;
   if (!parse_args(argc, argv, opt)) return 2;
 
+  // The unbound reference first, then every bound shard count.
+  std::vector<std::pair<uint32_t, bool>> configs = {{1, false}};
+  for (uint32_t shards : opt.shards) configs.emplace_back(shards, true);
+
   std::vector<Row> rows;
   double wall_total = 0;
-  for (uint32_t shards : opt.shards) {
+  for (auto [shards, bound] : configs) {
     for (sim::PollMode mode : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {
       for (uint32_t window : opt.windows) {
         for (uint32_t clients : opt.clients) {
-          Row r = run_config(opt, shards, mode, window, clients);
+          Row r = run_config(opt, shards, bound, mode, window, clients);
           wall_total += r.wall_s;
           std::printf(
-              "shards=%-3u %-5s w=%-3u c=%-5u  %8.4f Mops  "
+              "shards=%-3u %-7s %-5s w=%-3u c=%-5u  %8.4f Mops  "
               "lat=%9.2fus  stalls=%-8llu (%.2fs wall)\n",
-              r.shards, mode_name(r.mode), r.window, r.clients, r.mops,
-              r.mean_lat_us, (unsigned long long)r.window_stalls, r.wall_s);
+              r.shards, r.bound ? "bound" : "unbound", mode_name(r.mode),
+              r.window, r.clients, r.mops, r.mean_lat_us,
+              (unsigned long long)r.window_stalls, r.wall_s);
           rows.push_back(std::move(r));
         }
       }
     }
   }
 
-  // Group into (shards, mode, window) series ordered by client count; the
-  // sweep above already emits clients in ascending order per series.
+  // Group into (bound, shards, mode, window) series ordered by client
+  // count; the sweep above already emits clients in ascending order.
   std::map<SeriesKey, std::vector<const Row*>> series;
   for (const Row& r : rows)
-    series[{r.shards, r.mode, r.window}].push_back(&r);
+    series[{r.bound, r.shards, r.mode, r.window}].push_back(&r);
 
   std::string json = "{\"bench\":\"scalability\",\"config\":{";
   json += "\"seed\":" + std::to_string(opt.seed);
@@ -320,9 +332,7 @@ int main(int argc, char** argv) {
   for (const auto& [key, pts] : series) {
     if (!first) json += ",";
     first = false;
-    json += "{\"shards\":" + std::to_string(std::get<0>(key));
-    json += std::string(",\"mode\":\"") + mode_name(std::get<1>(key)) + "\"";
-    json += ",\"window\":" + std::to_string(std::get<2>(key));
+    json += "{" + series_label(key);
     json += ",\"points\":[";
     for (size_t i = 0; i < pts.size(); ++i) {
       const Row& r = *pts[i];
@@ -351,9 +361,7 @@ int main(int argc, char** argv) {
     for (const Row* p : pts)
       if (p->mops > peak->mops) peak = p;
     uint32_t knee = find_knee(pts);
-    json += "{\"shards\":" + std::to_string(std::get<0>(key));
-    json += std::string(",\"mode\":\"") + mode_name(std::get<1>(key)) + "\"";
-    json += ",\"window\":" + std::to_string(std::get<2>(key));
+    json += "{" + series_label(key);
     json += ",\"knee_clients\":" + std::to_string(knee);
     json += ",\"peak_mops\":" + fmt(peak->mops);
     json += ",\"peak_clients\":" + std::to_string(peak->clients);
@@ -362,36 +370,38 @@ int main(int argc, char** argv) {
   json += "]";
 
   // Over-subscription collapse: at the largest client count, compare the
-  // best shard count against the largest (over-subscribed) one.
+  // best configuration against the largest (over-subscribed) bound one.
   const uint32_t cmax = opt.clients.back();
   json += ",\"collapse\":[";
   first = true;
   for (sim::PollMode mode : {sim::PollMode::kBusy, sim::PollMode::kEvent}) {
     for (uint32_t window : opt.windows) {
       uint32_t peak_shards = 0, over_shards = 0;
+      bool peak_bound = false;
       double peak_mops = 0, over_mops = 0;
-      for (uint32_t shards : opt.shards) {
-        auto it = series.find({shards, mode, window});
-        if (it == series.end()) continue;
-        for (const Row* p : it->second) {
-          if (p->clients != cmax) continue;
-          if (p->mops > peak_mops) {
-            peak_mops = p->mops;
-            peak_shards = shards;
-          }
-          if (shards >= over_shards) {
-            over_shards = shards;
-            over_mops = p->mops;
-          }
+      for (auto [shards, bound] : configs) {
+        const Row* p = series.at({bound, shards, mode, window}).back();
+        if (p->mops > peak_mops) {
+          peak_mops = p->mops;
+          peak_shards = shards;
+          peak_bound = bound;
+        }
+        if (bound && shards >= over_shards) {
+          over_shards = shards;
+          over_mops = p->mops;
         }
       }
       if (!first) json += ",";
       first = false;
-      bool collapsed = over_shards > peak_shards && over_mops < 0.7 * peak_mops;
+      // The peak is never below the over-subscribed config, so this only
+      // holds when some other config beat it by more than 1/0.7.
+      bool collapsed = over_mops < 0.7 * peak_mops;
       json += std::string("{\"mode\":\"") + mode_name(mode) + "\"";
       json += ",\"window\":" + std::to_string(window);
       json += ",\"clients\":" + std::to_string(cmax);
       json += ",\"peak_shards\":" + std::to_string(peak_shards);
+      json += std::string(",\"peak_bound\":") +
+              (peak_bound ? "true" : "false");
       json += ",\"peak_mops\":" + fmt(peak_mops);
       json += ",\"oversub_shards\":" + std::to_string(over_shards);
       json += ",\"oversub_mops\":" + fmt(over_mops);
@@ -407,8 +417,8 @@ int main(int argc, char** argv) {
   json += ",\"event_vs_busy_oversub\":[";
   first = true;
   for (uint32_t window : opt.windows) {
-    auto bi = series.find({smax, sim::PollMode::kBusy, window});
-    auto ei = series.find({smax, sim::PollMode::kEvent, window});
+    auto bi = series.find({true, smax, sim::PollMode::kBusy, window});
+    auto ei = series.find({true, smax, sim::PollMode::kEvent, window});
     uint32_t crossover = 0;
     if (bi != series.end() && ei != series.end()) {
       for (size_t i = 0; i < bi->second.size() && i < ei->second.size(); ++i) {

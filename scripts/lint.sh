@@ -71,6 +71,24 @@ grep -rnz --include='*.h' --include='*.cc' \
   | rule 'sendwr-brace-owning-member' \
          'braced SendWr temporaries with sg_list/keep_alive double-free under GCC 12 coroutines; use a named WR.'
 
+# --- Rule 4b: no braced class temporaries as co_await call arguments. --------
+# The same GCC 12 frame promotion bites any braced temporary bound to a
+# reference parameter of an awaited call: `co_await client.Store(
+# genkv::Record{})` aborts with "free(): invalid pointer" at -O2 while a
+# named local works. Flags `ns::Type{` after a `(` or `,` between a co_await
+# and the end of its statement, across lines. SendWr is rule 4's business.
+find src tests bench examples \( -name '*.h' -o -name '*.cc' \) -print0 \
+  | sort -z \
+  | xargs -0 perl -0777 -ne '
+      while (/\bco_await\b[^;]*?[(,]\s*((?:[A-Za-z_]\w*::)+[A-Za-z_]\w*)\{/g) {
+        my ($type, $at) = ($1, $-[1]);
+        next if $type =~ /(^|::)SendWr$/;
+        my $line = 1 + (substr($_, 0, $at) =~ tr/\n//);
+        print "$ARGV:$line: $type\{\n";
+      }' \
+  | rule 'co-await-braced-temporary-arg' \
+         'braced class temporaries passed into a co_await call can be freed twice under GCC 12; pass a named local.'
+
 # --- Rule 5: every observability counter has a producer. --------------------
 # A Ctr enumerator nobody references outside counters.h is a dead counter:
 # dashboards and DESIGN.md read as if the event were instrumented when

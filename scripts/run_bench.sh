@@ -24,7 +24,7 @@
 #   OUTADAPT      adaptive-hints output JSON path       (default: BENCH_adaptive.json)
 #   CLUSTER_ARGS  extra bench_cluster flags, e.g. "--client-nodes 24 --records 1000"
 #   SIMCORE_ARGS  extra bench_sim_core flags, e.g. "--cancel-rounds 100"
-#   SCAL_ARGS     extra bench_scalability flags, e.g. "--clients 1,8,64 --shards 0,4"
+#   SCAL_ARGS     extra bench_scalability flags, e.g. "--clients 1,8,64 --shards 2,4"
 #   ADAPT_ARGS    extra bench_adaptive flags, e.g. "--over-channels 32"
 #   SEED          cluster + sim-core + scalability + adaptive seed (default: 1)
 set -euo pipefail

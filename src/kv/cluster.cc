@@ -585,8 +585,7 @@ Task<core::Buffer> ReliableCaller::call(std::string method,
   co_await cpu_.compute(
       cfg_.serialize_fixed +
       sim::transfer_time(envelope.size(), cfg_.serialize_gbps));
-  proto::CallResult r = co_await ch_.call(
-      proto::View{envelope.data(), envelope.size()}, 2048);
+  proto::CallResult r = co_await ch_.call(envelope, 2048);
   core::Buffer reply = std::move(r).value();  // throws RpcError on failure
   co_await cpu_.compute(
       cfg_.serialize_fixed +

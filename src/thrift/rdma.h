@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "hint/adaptive.h"
@@ -425,47 +426,41 @@ constexpr const char* to_string(Steering s) {
 /// request to the processor registered at channel-creation time, so
 /// TServerRdma is the factory/owner of endpoints on the server node.
 ///
-/// With Options::shards > 0 the server splits into per-core shards, each
-/// owning an independent polling context that never contends with its
-/// siblings: a private SRQ (its own pre-posted recv pool), a private slab
-/// of pooled buffers, a private counter scope (shard_accepts, shard_polls,
-/// window_stalls), and — when bind_cores is set — a pinned core whose
-/// single busy-polling thread (Cpu::pin_spinner) serves every connection
-/// steered onto the shard. Doorbell coalescing batches are per QP, hence
-/// never shared across shards either. Connections are steered at accept
-/// time by the configured policy. shards == 0 is the legacy unsharded
-/// server, bit-identical to the pre-sharding behaviour.
+/// The server is built from Options::shards per-core shards, each owning an
+/// independent polling context that never contends with its siblings: a
+/// private SRQ (its own pre-posted recv pool), a private counter scope
+/// (shard_accepts, shard_polls, window_stalls), and — when bind_cores is
+/// set — a pinned core whose single busy-polling thread
+/// (Cpu::pin_spinner) serves every connection steered onto the shard.
+/// Doorbell coalescing batches are per QP, hence never shared across shards
+/// either. Connections are steered at accept time by the configured policy.
+/// The default, one unbound shard, is a plain server: its channels charge
+/// the node-wide floating CPU and only its shard counters are extra.
 class TServerRdma {
  public:
   struct Options {
-    /// When nonzero the server creates a shared receive queue (one per
-    /// shard when sharded), pre-posts this many recv tokens on each, and
-    /// attaches every accepted recv-consuming channel to its shard's (the
-    /// ibv_srq deployment pattern: one recv pool instead of per-connection
-    /// recv rings, so posted-recv memory scales with the expected burst,
-    /// not with the connection count).
+    /// When nonzero each shard creates a shared receive queue, pre-posts
+    /// this many recv tokens on it, and attaches every accepted
+    /// recv-consuming channel to its shard's (the ibv_srq deployment
+    /// pattern: one recv pool instead of per-connection recv rings, so
+    /// posted-recv memory scales with the expected burst, not with the
+    /// connection count).
     uint32_t srq_depth = 0;
-    /// Number of per-core shards; 0 = legacy unsharded server.
-    uint32_t shards = 0;
+    /// Number of per-core shards; at least 1.
+    uint32_t shards = 1;
     /// Connection→shard policy applied at accept time.
     Steering steering = Steering::kRoundRobin;
-    /// Pin shard i to core i % cores. Off by default so that a sharded
-    /// server without binding stays comparable to the legacy one; the
-    /// scalability bench turns it on to study per-core saturation and
-    /// over-subscription collapse.
+    /// Pin shard i to core i % cores. Off by default, so handler compute
+    /// floats across the node's cores; the scalability bench turns it on to
+    /// study per-core saturation and over-subscription collapse.
     bool bind_cores = false;
-    /// Per-shard private buffer slab (pool_blocks blocks of pool_block
-    /// bytes, pre-registered): response staging memory a shard's handlers
-    /// can lease without ever touching another shard's pool. 0 = none.
-    uint32_t pool_block = 0;
-    uint32_t pool_blocks = 0;
   };
 
   /// Per-shard processor factory: lets a sharded server give each shard
   /// its own handler — typically one that charges handler compute on the
-  /// shard's pinned core and stages responses in the shard's private pool.
-  using ShardProcessorFactory = std::function<proto::Handler(
-      uint32_t shard, int core, proto::BufferPool* pool)>;
+  /// shard's pinned core.
+  using ShardProcessorFactory =
+      std::function<proto::Handler(uint32_t shard, int core)>;
 
   struct Shard {
     uint32_t index = 0;
@@ -478,51 +473,52 @@ class TServerRdma {
     uint64_t inflight = 0;
     obs::CounterSet* ctrs = nullptr;
     verbs::SharedReceiveQueue* srq = nullptr;
-    std::optional<proto::BufferPool> pool;
     std::optional<sim::Cpu::SpinGuard> spinner;  // the shard's polling thread
-    proto::Handler processor;  // empty = use the server-wide processor
+    proto::Handler processor;
     std::vector<std::unique_ptr<TRdmaEndPoint>> endpoints;
   };
 
   TServerRdma(verbs::Node& node, proto::Handler processor)
       : TServerRdma(node, std::move(processor), Options{}) {}
 
+  /// Every shard serves `processor`.
   TServerRdma(verbs::Node& node, proto::Handler processor, Options opts)
-      : node_(node), processor_(std::move(processor)), opts_(opts) {
-    if (opts_.shards == 0) {
-      if (opts_.srq_depth > 0) {
-        srq_ = node_.create_srq();
-        for (uint32_t i = 0; i < opts_.srq_depth; ++i)
-          srq_->post_recv(verbs::RecvWr{.wr_id = i});
-      }
-      return;
-    }
-    init_shards(nullptr);
-  }
+      : TServerRdma(node,
+                    [&processor](uint32_t, int) { return processor; },
+                    opts) {}
 
-  TServerRdma(verbs::Node& node, ShardProcessorFactory factory, Options opts)
+  TServerRdma(verbs::Node& node, const ShardProcessorFactory& factory,
+              Options opts)
       : node_(node), opts_(opts) {
-    if (opts_.shards == 0) opts_.shards = 1;
-    init_shards(&factory);
+    if (opts_.shards == 0)
+      throw std::invalid_argument("TServerRdma needs at least one shard");
+    auto& counters = node_.fabric().obs().counters;
+    shards_.reserve(opts_.shards);
+    for (uint32_t i = 0; i < opts_.shards; ++i) {
+      Shard& sh = shards_.emplace_back();
+      sh.index = i;
+      if (opts_.bind_cores) sh.core = static_cast<int>(i) % node_.cpu().cores();
+      sh.ctr_id = counters.register_shard();
+      sh.ctrs = &counters.shard(sh.ctr_id);
+      if (opts_.srq_depth > 0) {
+        sh.srq = node_.create_srq();
+        for (uint32_t r = 0; r < opts_.srq_depth; ++r)
+          sh.srq->post_recv(verbs::RecvWr{.wr_id = r});
+      }
+      sh.processor = factory(i, sh.core);
+    }
   }
 
   /// Accepts a new connection from `client` using `kind`; the simulation
-  /// analogue of TRdmaTransport's QP handshake + buffer exchange. Sharded
-  /// servers steer the connection to a shard first and stamp its SRQ, core
+  /// analogue of TRdmaTransport's QP handshake + buffer exchange. The
+  /// connection is steered to a shard first, which stamps its SRQ, core
   /// and counter scope into the channel config.
   TRdmaEndPoint* accept(verbs::Node& client, proto::ProtocolKind kind,
                         proto::ChannelConfig cfg) {
-    if (shards_.empty()) {
-      if (srq_) cfg.with_server_srq(srq_);
-      endpoints_.push_back(std::make_unique<TRdmaEndPoint>(
-          proto::make_channel(kind, client, node_, processor_, cfg), client,
-          cfg));
-      return endpoints_.back().get();
-    }
     Shard& sh = stamp_shard(client, cfg);
-    const proto::Handler& h = sh.processor ? sh.processor : processor_;
     sh.endpoints.push_back(std::make_unique<TRdmaEndPoint>(
-        proto::make_channel(kind, client, node_, h, cfg), client, cfg));
+        proto::make_channel(kind, client, node_, sh.processor, cfg), client,
+        cfg));
     return sh.endpoints.back().get();
   }
 
@@ -541,24 +537,14 @@ class TServerRdma {
                                  PlanCache* cache = nullptr,
                                  const std::string& fn = {}) {
     obs::FunctionFootprint* fp = fn.empty() ? nullptr : footprint_for(fn);
-    std::vector<std::unique_ptr<TRdmaEndPoint>>* home;
-    const proto::Handler* h;
-    if (shards_.empty()) {
-      if (srq_) cfg.with_server_srq(srq_);
-      home = &endpoints_;
-      h = &processor_;
-    } else {
-      Shard& sh = stamp_shard(client, cfg);
-      home = &sh.endpoints;
-      h = sh.processor ? &sh.processor : &processor_;
-    }
-    auto ch = hint::make_adaptive_channel(client, node_, *h, cfg, prior,
-                                          params, fp);
+    Shard& sh = stamp_shard(client, cfg);
+    auto ch = hint::make_adaptive_channel(client, node_, sh.processor, cfg,
+                                          prior, params, fp);
     if (cache) cache->bind_racecheck(&node_.fabric().simulator());
     if (cache && !fn.empty()) cache->publish(fn, ch->plan());
-    home->push_back(
+    sh.endpoints.push_back(
         std::make_unique<TRdmaEndPoint>(std::move(ch), client, cfg));
-    return home->back().get();
+    return sh.endpoints.back().get();
   }
 
   /// Server half of the §4.3 plan-cache invalidation: republishes an
@@ -576,8 +562,6 @@ class TServerRdma {
   }
 
   void stop() {
-    for (auto& ep : endpoints_) ep->shutdown();
-    if (srq_) srq_->close();
     for (Shard& sh : shards_) {
       for (auto& ep : sh.endpoints) ep->shutdown();
       if (sh.srq) sh.srq->close();
@@ -586,9 +570,8 @@ class TServerRdma {
   }
 
   verbs::Node& node() { return node_; }
-  verbs::SharedReceiveQueue* srq() { return srq_; }
   size_t connections() const {
-    size_t n = endpoints_.size();
+    size_t n = 0;
     for (const Shard& sh : shards_) n += sh.endpoints.size();
     return n;
   }
@@ -624,31 +607,6 @@ class TServerRdma {
     for (uint32_t i = 0; i < reg.function_count(); ++i)
       if (reg.function(i).name() == fn) return &reg.function(i);
     return &reg.function(reg.register_function(fn));
-  }
-
-  void init_shards(const ShardProcessorFactory* factory) {
-    auto& counters = node_.fabric().obs().counters;
-    shards_.reserve(opts_.shards);
-    for (uint32_t i = 0; i < opts_.shards; ++i) {
-      // Build the shard in place: the factory (and any handler it returns)
-      // may capture the pool's address, which must be its final home inside
-      // shards_, not a local about to be moved from.
-      Shard& sh = shards_.emplace_back();
-      sh.index = i;
-      if (opts_.bind_cores) sh.core = static_cast<int>(i) % node_.cpu().cores();
-      sh.ctr_id = counters.register_shard();
-      sh.ctrs = &counters.shard(sh.ctr_id);
-      if (opts_.srq_depth > 0) {
-        sh.srq = node_.create_srq();
-        for (uint32_t r = 0; r < opts_.srq_depth; ++r)
-          sh.srq->post_recv(verbs::RecvWr{.wr_id = r});
-      }
-      if (opts_.pool_block > 0 && opts_.pool_blocks > 0)
-        sh.pool.emplace(node_, opts_.pool_block, opts_.pool_blocks, sh.ctrs);
-      if (factory && *factory)
-        sh.processor = (*factory)(i, sh.core,
-                                  sh.pool ? &*sh.pool : nullptr);
-    }
   }
 
   /// splitmix64 finalizer — the same mix HatKV's ring uses, here standing
@@ -694,12 +652,9 @@ class TServerRdma {
   }
 
   verbs::Node& node_;
-  proto::Handler processor_;
   Options opts_;
-  verbs::SharedReceiveQueue* srq_ = nullptr;  // legacy unsharded SRQ
-  std::vector<std::unique_ptr<TRdmaEndPoint>> endpoints_;  // legacy path
   std::vector<Shard> shards_;
-  uint64_t accepted_ = 0;  // sharded accepts (round-robin cursor)
+  uint64_t accepted_ = 0;  // round-robin cursor
 };
 
 }  // namespace hatrpc::thrift

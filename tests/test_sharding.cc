@@ -1,9 +1,10 @@
 // Per-core sharded TServerRdma: steering policy pinning, per-shard counter
-// accounting, core binding, and bit-identity of the single-shard
-// configuration against the legacy unsharded server.
+// accounting, core binding, and the default single-shard server's virtual
+// timeline pinned to the unsharded server it replaced.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -189,24 +190,18 @@ TEST(Sharding, PerShardSrqAndPoolArePrivate) {
   thrift::TServerRdma::Options so;
   so.shards = 2;
   so.srq_depth = 32;
-  so.pool_block = 4096;
-  so.pool_blocks = 4;
   std::vector<int> seen_cores;
-  std::vector<proto::BufferPool*> seen_pools;
-  thrift::TServerRdma::ShardProcessorFactory factory =
-      [&](uint32_t, int core, proto::BufferPool* pool) {
-        seen_cores.push_back(core);
-        seen_pools.push_back(pool);
-        return echo_handler(*bed.server, core);
-      };
+  thrift::TServerRdma::ShardProcessorFactory factory = [&](uint32_t,
+                                                           int core) {
+    seen_cores.push_back(core);
+    return echo_handler(*bed.server, core);
+  };
   so.bind_cores = true;
   thrift::TServerRdma srv(*bed.server, factory, so);
   ASSERT_EQ(srv.shard_count(), 2u);
   ASSERT_EQ(seen_cores.size(), 2u);
   EXPECT_EQ(seen_cores[0], 0);
   EXPECT_EQ(seen_cores[1], 1);
-  EXPECT_NE(seen_pools[0], nullptr);
-  EXPECT_NE(seen_pools[0], seen_pools[1]);
   EXPECT_NE(srv.shard(0).srq, nullptr);
   EXPECT_NE(srv.shard(0).srq, srv.shard(1).srq);
 
@@ -229,17 +224,26 @@ TEST(Sharding, PerShardSrqAndPoolArePrivate) {
             4u);
 }
 
-// Runs a fixed workload against a server built by `make_srv`; returns the
-// virtual end time and the full counter dump.
-template <typename MakeSrv>
-std::pair<sim::Time, std::string> run_workload(MakeSrv make_srv) {
+TEST(Sharding, ZeroShardsIsRejected) {
+  Bed bed(1);
+  thrift::TServerRdma::Options so;
+  so.shards = 0;
+  EXPECT_THROW(thrift::TServerRdma(*bed.server, echo_handler(*bed.server), so),
+               std::invalid_argument);
+}
+
+TEST(Sharding, DefaultServerKeepsTheUnshardedTimeline) {
+  // The default server is one unbound shard. Its virtual end time and its
+  // node/channel counters are pinned to what the unsharded server this
+  // class used to carry produced for the same workload; the shard registry
+  // only appends its own line to the dump.
   Bed bed(3);
-  auto srv = make_srv(bed);
+  thrift::TServerRdma srv(*bed.server, echo_handler(*bed.server));
   std::vector<thrift::TRdmaEndPoint*> eps;
   for (uint32_t c = 0; c < 3; ++c)
-    eps.push_back(srv->accept(*bed.clients[c],
-                              proto::ProtocolKind::kEagerSendRecv,
-                              proto::ChannelConfig{}.with_window(2)));
+    eps.push_back(srv.accept(*bed.clients[c],
+                             proto::ProtocolKind::kEagerSendRecv,
+                             proto::ChannelConfig{}.with_window(2)));
   sim::WaitGroup wg(bed.sim);
   wg.add(3);
   for (uint32_t c = 0; c < 3; ++c)
@@ -250,30 +254,26 @@ std::pair<sim::Time, std::string> run_workload(MakeSrv make_srv) {
     co_await wg.wait();
     end = sim.now();
     srv.stop();
-  }(bed.sim, wg, end, *srv));
+  }(bed.sim, wg, end, srv));
   bed.sim.run();
-  return {end, bed.fabric.obs().counters.dump()};
-}
 
-TEST(Sharding, SingleShardIsBitIdenticalToLegacyServer) {
-  // The same workload against the legacy unsharded server and against a
-  // single-shard server without core binding must produce the identical
-  // virtual timeline and node/channel counters; the shard registry only
-  // APPENDS its own lines to the dump.
-  auto [legacy_end, legacy_dump] = run_workload([](Bed& bed) {
-    return std::make_unique<thrift::TServerRdma>(
-        *bed.server, echo_handler(*bed.server));
-  });
-  auto [sharded_end, sharded_dump] = run_workload([](Bed& bed) {
-    thrift::TServerRdma::Options so;
-    so.shards = 1;
-    so.bind_cores = false;
-    return std::make_unique<thrift::TServerRdma>(
-        *bed.server, echo_handler(*bed.server), so);
-  });
-  EXPECT_EQ(legacy_end, sharded_end);
-  ASSERT_GE(sharded_dump.size(), legacy_dump.size());
-  EXPECT_EQ(sharded_dump.substr(0, legacy_dump.size()), legacy_dump);
+  EXPECT_EQ(end.count(), 40416);
+  EXPECT_EQ(bed.fabric.obs().counters.dump(),
+            "node/0: doorbells=30 wqes_posted=30 cqes_polled=57 "
+            "dma_bytes=4320 copy_bytes=4080 mr_bytes=393216\n"
+            "node/1: doorbells=10 wqes_posted=10 cqes_polled=19 "
+            "dma_bytes=1440 copy_bytes=1360 mr_bytes=131072\n"
+            "node/2: doorbells=10 wqes_posted=10 cqes_polled=19 "
+            "dma_bytes=1440 copy_bytes=1360 mr_bytes=131072\n"
+            "node/3: doorbells=10 wqes_posted=10 cqes_polled=19 "
+            "dma_bytes=1440 copy_bytes=1360 mr_bytes=131072\n"
+            "channel/0: doorbells=20 wqes_posted=20 dma_bytes=1440 "
+            "copy_bytes=2720\n"
+            "channel/1: doorbells=20 wqes_posted=20 dma_bytes=1440 "
+            "copy_bytes=2720\n"
+            "channel/2: doorbells=20 wqes_posted=20 dma_bytes=1440 "
+            "copy_bytes=2720\n"
+            "shard/0: shard_accepts=3 shard_polls=57\n");
 }
 
 }  // namespace

@@ -414,8 +414,9 @@ TEST(TRdmaTransport, ManyClientsHandshakeConcurrently) {
     verbs::Node* cl = fabric.add_node();
     sim.spawn([](TRdmaTransport& transport, verbs::Node* cl, int c, int& ok,
                  sim::WaitGroup& wg) -> Task<void> {
+      proto::ChannelConfig cfg;
       TRdmaEndPoint* ep = co_await transport.connect(
-          *cl, proto::ProtocolKind::kEagerSendRecv, proto::ChannelConfig{});
+          *cl, proto::ProtocolKind::kEagerSendRecv, cfg);
       std::string msg = "client-" + std::to_string(c);
       proto::Buffer resp = (co_await ep->channel().call(
           proto::to_buffer(msg), 64)).value();
@@ -505,8 +506,9 @@ HandshakeOutcome hostile_then_valid(const proto::Buffer& wire,
     if (close_after) sock->close();
     TFramedTransport framed(sock);
     out.replied = (co_await framed.recv()).has_value();
+    proto::ChannelConfig cfg;
     TRdmaEndPoint* ep = co_await transport.connect(
-        *cl, proto::ProtocolKind::kDirectWriteImm, proto::ChannelConfig{});
+        *cl, proto::ProtocolKind::kDirectWriteImm, cfg);
     proto::Buffer req = proto::to_buffer("still-accepting");
     proto::Buffer resp = (co_await ep->channel().call(req, 64)).value();
     out.echoed = std::string(proto::as_string(resp));

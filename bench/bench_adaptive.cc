@@ -43,6 +43,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -322,7 +323,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (a != flag) return false;
       const char* v = next(i);
       if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
+      try {
+        set(v);
+      } catch (const std::logic_error&) {  // std::sto* rejected the value
+        throw std::runtime_error("bad value for " + a + ": " + v);
+      }
       return true;
     };
     bool ok =
@@ -349,7 +354,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::runtime_error& e) {  // a flag value it cannot use
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   const std::vector<PhaseSpec> phases = {
       {"small-under", opt.small_bytes, opt.channels, 1, 96},

@@ -19,6 +19,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -435,7 +436,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (a != flag) return false;
       const char* v = next(i);
       if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
+      try {
+        set(v);
+      } catch (const std::logic_error&) {  // std::sto* rejected the value
+        throw std::runtime_error("bad value for " + a + ": " + v);
+      }
       return true;
     };
     bool ok =
@@ -460,6 +465,17 @@ bool parse_args(int argc, char** argv, Options& opt) {
       return false;
     }
   }
+  if (opt.shards == 0 || opt.rf == 0 || opt.server_nodes == 0 ||
+      opt.client_nodes == 0 || opt.records == 0) {
+    std::fprintf(stderr,
+                 "--shards, --rf, --server-nodes, --client-nodes and "
+                 "--records must be at least 1\n");
+    return false;
+  }
+  if (opt.rf > opt.server_nodes) {
+    std::fprintf(stderr, "--rf must not exceed --server-nodes\n");
+    return false;
+  }
   if (opt.workload != "a" && opt.workload != "b" && opt.workload != "both") {
     std::fprintf(stderr, "--workload must be a, b, or both\n");
     return false;
@@ -477,7 +493,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::runtime_error& e) {  // a flag value it cannot use
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   std::vector<char> workloads;
   if (opt.workload == "both")
     workloads = {'a', 'b'};

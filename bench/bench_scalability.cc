@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,7 +71,6 @@ struct Row {
   double mean_lat_us = 0;
   uint64_t shard_accepts = 0;
   uint64_t shard_polls = 0;
-  uint64_t window_stalls = 0;
   double wall_s = 0;  // stdout only, never serialized
 };
 
@@ -173,7 +173,6 @@ Row run_config(const Options& opt, uint32_t shards, bool bound,
   auto& counters = fabric.obs().counters;
   row.shard_accepts = counters.shard_total(obs::Ctr::kShardAccepts);
   row.shard_polls = counters.shard_total(obs::Ctr::kShardPolls);
-  row.window_stalls = counters.shard_total(obs::Ctr::kWindowStalls);
   row.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();
@@ -246,7 +245,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (a != flag) return false;
       const char* v = next(i);
       if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
+      try {
+        set(v);
+      } catch (const std::logic_error&) {  // std::sto* rejected the value
+        throw std::runtime_error("bad value for " + a + ": " + v);
+      }
       return true;
     };
     bool ok =
@@ -286,7 +289,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::runtime_error& e) {  // a flag value it cannot use
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   // The unbound reference first, then every bound shard count.
   std::vector<std::pair<uint32_t, bool>> configs = {{1, false}};
@@ -302,10 +310,9 @@ int main(int argc, char** argv) {
           wall_total += r.wall_s;
           std::printf(
               "shards=%-3u %-7s %-5s w=%-3u c=%-5u  %8.4f Mops  "
-              "lat=%9.2fus  stalls=%-8llu (%.2fs wall)\n",
+              "lat=%9.2fus  (%.2fs wall)\n",
               r.shards, r.bound ? "bound" : "unbound", mode_name(r.mode),
-              r.window, r.clients, r.mops, r.mean_lat_us,
-              (unsigned long long)r.window_stalls, r.wall_s);
+              r.window, r.clients, r.mops, r.mean_lat_us, r.wall_s);
           rows.push_back(std::move(r));
         }
       }
@@ -344,7 +351,6 @@ int main(int argc, char** argv) {
       json += ",\"calls\":" + std::to_string(r.calls);
       json += ",\"shard_accepts\":" + std::to_string(r.shard_accepts);
       json += ",\"shard_polls\":" + std::to_string(r.shard_polls);
-      json += ",\"window_stalls\":" + std::to_string(r.window_stalls);
       json += "}";
     }
     json += "]}";

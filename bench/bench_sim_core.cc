@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "proto/channel.h"
@@ -289,7 +290,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (a != flag) return false;
       const char* v = next(i);
       if (!v) throw std::runtime_error(a + " needs a value");
-      set(v);
+      try {
+        set(v);
+      } catch (const std::logic_error&) {  // std::sto* rejected the value
+        throw std::runtime_error("bad value for " + a + ": " + v);
+      }
       return true;
     };
     bool ok =
@@ -325,7 +330,12 @@ bool parse_args(int argc, char** argv, Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  try {
+    if (!parse_args(argc, argv, opt)) return 2;
+  } catch (const std::runtime_error& e) {  // a flag value it cannot use
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   PhaseResult phases[] = {run_timer_phase(opt), run_shallow_phase(opt),
                           run_cancel_phase(opt), run_rpc_phase(opt)};

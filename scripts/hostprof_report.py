@@ -2,6 +2,7 @@
 """Flat profile from the hostprof sampler's output (scripts/hostprof.sh).
 
 Usage: scripts/hostprof_report.py DIR [--exe NAME] [--under FRAME] [--top N]
+                                    [--baseline BASE_DIR]
 
 Each DIR/<pid>.prof holds one process's backtraces and its /proc/self/maps.
 Every frame is turned into (object file, ELF address) through the maps of
@@ -18,6 +19,11 @@ the executable. incl%: samples with the function anywhere on the stack.
 Names drop their return type, parameter lists and clone suffixes, so
 overloads and the pieces of a coroutine share a row; a lambda is charged
 to <enclosing function>::{lambda}.
+
+--baseline compares DIR against a second profile taken the same way (same
+--exe and --under): each row shows the function's self% in BASE_DIR and in
+DIR and the difference, largest change first, so a change's saving shows
+where it sits. A function found in one profile only reads 0 in the other.
 """
 
 import argparse
@@ -111,18 +117,12 @@ def short_name(name):
     return name[start:]
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("dir")
-    ap.add_argument("--exe", help="keep processes whose executable is NAME")
-    ap.add_argument("--under", help="keep samples with a frame matching this")
-    ap.add_argument("--top", type=int, default=30)
-    args = ap.parse_args()
-
+def profile(directory, exe_name, under):
+    """(total, self counts, incl counts, process count) of one profile."""
     procs = []
-    for path in sorted(glob.glob(os.path.join(args.dir, "*.prof"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.prof"))):
         exe, maps, samples = load(path)
-        if args.exe and os.path.basename(exe) != args.exe:
+        if exe_name and os.path.basename(exe) != exe_name:
             continue
         starts = [m[0] for m in maps]
         # Frame 0 is the interrupted instruction; the rest are return
@@ -131,7 +131,7 @@ def main():
                   for s in samples]
         procs.append((exe, stacks))
     if not procs:
-        sys.exit(f"no matching .prof files in {args.dir}")
+        sys.exit(f"no matching .prof files in {directory}")
 
     addrs_by_obj = collections.defaultdict(set)
     for _, stacks in procs:
@@ -145,7 +145,7 @@ def main():
     for exe, stacks in procs:
         for stack in stacks:
             frames = [(fr[0] == exe, names[fr]) for fr in stack if fr]
-            if args.under and not any(args.under in n for _, n in frames):
+            if under and not any(under in n for _, n in frames):
                 continue
             total += 1
             own = [n for in_exe, n in frames if in_exe]
@@ -155,10 +155,37 @@ def main():
                 self_n[frames[0][1]] += 1
             incl_n.update(set(own))
     if not total:
-        sys.exit("no samples matched")
+        sys.exit(f"no samples matched in {directory}")
+    return total, self_n, incl_n, len(procs)
 
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir")
+    ap.add_argument("--exe", help="keep processes whose executable is NAME")
+    ap.add_argument("--under", help="keep samples with a frame matching this")
+    ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--baseline", metavar="BASE_DIR",
+                    help="print self%% deltas against this profile")
+    args = ap.parse_args()
+
+    total, self_n, incl_n, nprocs = profile(args.dir, args.exe, args.under)
     scope = f", under {args.under}" if args.under else ""
-    print(f"# {total} samples from {len(procs)} processes{scope}")
+    if args.baseline:
+        b_total, b_self, _, b_procs = profile(args.baseline, args.exe,
+                                              args.under)
+        print(f"# {b_total} baseline samples from {b_procs} processes, "
+              f"{total} samples from {nprocs} processes{scope}")
+        print(f"{'base%':>6} {'self%':>6} {'delta':>6}  function")
+        pct = {fn: (100 * b_self[fn] / b_total, 100 * self_n[fn] / total)
+               for fn in set(b_self) | set(self_n)}
+        for fn in sorted(pct, key=lambda f: (-abs(pct[f][1] - pct[f][0]),
+                                             f))[:args.top]:
+            base, now = pct[fn]
+            print(f"{base:6.1f} {now:6.1f} {now - base:+6.1f}  {fn}")
+        return
+
+    print(f"# {total} samples from {nprocs} processes{scope}")
     print(f"{'incl%':>6} {'self%':>6}  function")
     rows = set(incl_n) | set(self_n)
     for fn in sorted(rows, key=lambda f: (-incl_n[f], -self_n[f], f))[:args.top]:

@@ -170,13 +170,13 @@ class ChannelBase : public RpcChannel {
   }
 
   /// Eager-style staging copy at the client / server (see policy above).
-  sim::Task<void> charge_client_copy(size_t bytes) {
+  sim::Cpu::Compute charge_client_copy(size_t bytes) {
     cl_.counters().add(obs::Ctr::kCopyBytes, bytes);
     channel_counters()->add(obs::Ctr::kCopyBytes, bytes);
     return cl_.cpu().compute(
         cost_.copy_time(bytes, cfg_.client_numa_local));
   }
-  sim::Task<void> charge_server_copy(size_t bytes) {
+  sim::Cpu::Compute charge_server_copy(size_t bytes) {
     sv_.counters().add(obs::Ctr::kCopyBytes, bytes);
     channel_counters()->add(obs::Ctr::kCopyBytes, bytes);
     return sv_.cpu().compute(

@@ -222,6 +222,7 @@ class QueuePair {
   /// Doorbell batcher: WQEs built while a flush MMIO is in progress wait
   /// here and are swept by that flush (see post_send).
   std::vector<SendWr> sq_pending_;
+  std::vector<SendWr> flush_batch_;  // flush_sends' scratch; always empty
   bool db_flushing_ = false;
   uint64_t db_flush_seq_ = 0;
   sim::WaitQueue db_flushed_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <functional>
 #include <map>
@@ -430,6 +431,80 @@ TEST(CpuCoreBinding, UnboundModelUnchangedWhileNothingIsPinned) {
   EXPECT_EQ(cpu.busy_pollers(), 3);
   EXPECT_EQ(cpu.spinners(0), 2);
   EXPECT_EQ(cpu.spinners(1), 1);
+}
+
+// Compute equivalence: the resume times and the demand a concurrent task
+// sees mid-computation, on floating and pinned cores, below and above the
+// core count. The constants were recorded from the coroutine form of
+// Cpu::compute; the awaiter must reproduce them exactly.
+struct ComputeProbe {
+  std::vector<std::pair<int, int64_t>> ends;  // (worker id, resume ns)
+  std::vector<std::array<int, 3>> seen;  // active, bound_active(0), (1)
+};
+
+Task<void> timed_compute(Simulator& s, Cpu& cpu, Duration start,
+                         Duration work, int core, int id, ComputeProbe& p) {
+  co_await s.sleep(start);
+  co_await cpu.compute(work, core);
+  p.ends.emplace_back(id, s.now().count());
+}
+
+Task<void> sample_demand(Simulator& s, Cpu& cpu, Duration at,
+                         ComputeProbe& p) {
+  co_await s.sleep(at);
+  p.seen.push_back(
+      {cpu.active_computations(), cpu.bound_active(0), cpu.bound_active(1)});
+}
+
+TEST(CpuCompute, FloatingResumeTimesAndDemandArePinned) {
+  Simulator sim;
+  Cpu cpu(sim, {.cores = 2, .ctx_switch = 1us});
+  ComputeProbe p;
+  const int any = Cpu::kAnyCore;
+  // Three at once on two cores (above), a late arrival into the crowd, and
+  // one alone once the crowd has drained (below).
+  sim.spawn(timed_compute(sim, cpu, 0us, 10us, any, 0, p));
+  sim.spawn(timed_compute(sim, cpu, 0us, 10us, any, 1, p));
+  sim.spawn(timed_compute(sim, cpu, 0us, 10us, any, 2, p));
+  sim.spawn(timed_compute(sim, cpu, 2us, 5us, any, 3, p));
+  sim.spawn(timed_compute(sim, cpu, 40us, 3us, any, 4, p));
+  for (Duration at : {1us, 5us, 11us, 14us, 41us})
+    sim.spawn(sample_demand(sim, cpu, at, p));
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  const std::vector<std::pair<int, int64_t>> ends = {
+      {0, 10000}, {1, 10000}, {3, 13000}, {2, 16000}, {4, 43000}};
+  const std::vector<std::array<int, 3>> seen = {
+      {3, 0, 0}, {4, 0, 0}, {2, 0, 0}, {1, 0, 0}, {1, 0, 0}};
+  EXPECT_EQ(p.ends, ends);
+  EXPECT_EQ(p.seen, seen);
+  EXPECT_EQ(cpu.active_computations(), 0);
+}
+
+TEST(CpuCompute, BoundResumeTimesAndDemandArePinned) {
+  Simulator sim;
+  Cpu cpu(sim, {.cores = 2, .ctx_switch = 1us});
+  auto spin = cpu.pin_spinner(0);
+  ComputeProbe p;
+  // Core 0 (and core 2, which wraps onto it) above its capacity, core 1
+  // and a floating computation beside them, then core 0 alone again with
+  // its spinner credited back (below).
+  sim.spawn(timed_compute(sim, cpu, 0us, 10us, 0, 0, p));
+  sim.spawn(timed_compute(sim, cpu, 0us, 10us, 2, 1, p));
+  sim.spawn(timed_compute(sim, cpu, 1us, 4us, 1, 2, p));
+  sim.spawn(timed_compute(sim, cpu, 1us, 6us, Cpu::kAnyCore, 3, p));
+  sim.spawn(timed_compute(sim, cpu, 40us, 5us, 0, 4, p));
+  for (Duration at : {2us, 6us, 12us, 41us})
+    sim.spawn(sample_demand(sim, cpu, at, p));
+  sim.run();
+  EXPECT_EQ(sim.live_tasks(), 0u);
+  const std::vector<std::pair<int, int64_t>> ends = {
+      {2, 5000}, {0, 10000}, {3, 17000}, {1, 21000}, {4, 45000}};
+  const std::vector<std::array<int, 3>> seen = {
+      {4, 2, 1}, {3, 2, 0}, {2, 1, 0}, {1, 1, 0}};
+  EXPECT_EQ(p.ends, ends);
+  EXPECT_EQ(p.seen, seen);
+  EXPECT_EQ(cpu.active_computations(), 0);
 }
 
 TEST(Rng, DeterministicForSeed) {
